@@ -22,6 +22,7 @@ from multicent import (  # noqa: E402
     isim_curve,
     parse_multiplex_edges,
     to_network,
+    write_position_table,
 )
 
 
@@ -58,14 +59,10 @@ def main():
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        for which, (sweep_alphas, pos) in (
-                ("node", result.node_position_table()),
-                ("layer", result.layer_position_table())):
-            lines = ["index," + ",".join(repr(a) for a in sweep_alphas)]
-            for i in range(pos.shape[0]):
-                lines.append(f"{i + 1}," + ",".join(str(p + 1) for p in pos[i]))
+        for which, table in (("node", result.node_position_table()),
+                             ("layer", result.layer_position_table())):
             path = args.out / f"sweep_{which}_positions.csv"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            path.write_text(write_position_table(table), encoding="utf-8")
         print(f"\nwrote rank-position tables to {args.out}/")
 
 

@@ -23,19 +23,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multicent import (  # noqa: E402
     SolverParams,
-    aggregate_degree_centrality,
-    aggregate_eigenvector_centrality,
     build_network,
     isim_curve,
-    layerwise_eigenvector_centrality,
     node_layer_centrality,
     parse_multiplex_edges,
     pearson,
     rank,
     to_network,
-    versatility_centrality,
     write_scores,
 )
+from multicent.cli import NODE, measure_table  # noqa: E402
 
 
 def demo_network(seed=0, n=40, L=4):
@@ -80,14 +77,13 @@ def main():
           f"(a priori bound: {report.a_priori_bound_k})")
 
     vectors = {"nonlinear": scores.x}
-    for name, fn in (("eig_ver", versatility_centrality),
-                     ("eig_cen", layerwise_eigenvector_centrality),
-                     ("agg_eig", aggregate_eigenvector_centrality)):
-        res = fn(net)
+    for name, (fn, kind) in measure_table().items():
+        if kind != NODE:
+            continue
+        res = fn(net, None)
         if res.degenerate_warning:
             print(f"note: {name} is not uniquely determined on this network")
         vectors[name] = res.scores
-    vectors["agg_deg"] = aggregate_degree_centrality(net).scores
 
     names = list(vectors)
     width = max(len(n) for n in names) + 2

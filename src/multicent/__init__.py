@@ -38,13 +38,13 @@ from .io import (
     report_to_dict,
     to_network,
     write_multiplex_edges,
+    write_position_table,
     write_scores,
 )
 from .network import (
     ConnectivityDiagnostics,
     InfluenceMatrix,
     MultiplexNetwork,
-    aggregate_degree,
     aggregate_matrix,
     build_network,
     connectivity,

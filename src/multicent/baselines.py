@@ -14,7 +14,6 @@ data anyway; consumers decide how much to trust a flagged score.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from .errors import DimensionError, ValidationError
 from .network import (
     InfluenceMatrix,
     MultiplexNetwork,
-    aggregate_degree,
+    _check_omega,
+    _weighted_layer_sum,
     aggregate_matrix,
     khatri_rao_influence,
     supra_adjacency,
@@ -146,17 +146,6 @@ def layer_eigenvectors(net: MultiplexNetwork, tol: float = PERRON_TOL,
                             column_degenerate=tuple(flags))
 
 
-def _check_positive_omega(omega, L):
-    if omega is None:
-        return np.ones(L)
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (L,):
-        raise DimensionError(f"layer weight vector must have length {L}")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise ValidationError("layer weights must be finite and strictly positive")
-    return w
-
-
 def _normalized(v: np.ndarray) -> np.ndarray:
     s = v.sum()
     return v / s if s > 0 else v.copy()
@@ -166,7 +155,7 @@ def layerwise_eigenvector_centrality(net: MultiplexNetwork, omega=None,
                                      tol: float = PERRON_TOL,
                                      max_iter: int = PERRON_MAX_ITER) -> ScoreResult:
     """Weighted sum over layers of the per-layer Perron vectors (Q omega)."""
-    w = _check_positive_omega(omega, net.L)
+    w = _check_omega(omega, net.L)
     Q = layer_eigenvectors(net, tol=tol, max_iter=max_iter)
     return ScoreResult(measure_name="eig_cen",
                        scores=_normalized(Q.matrix @ w),
@@ -177,7 +166,7 @@ def aggregate_eigenvector_centrality(net: MultiplexNetwork, omega=None,
                                      tol: float = PERRON_TOL,
                                      max_iter: int = PERRON_MAX_ITER) -> ScoreResult:
     """Perron vector of the weighted aggregate matrix sum_l omega_l A_l."""
-    w = _check_positive_omega(omega, net.L)
+    w = _check_omega(omega, net.L)
     pr = matrix_perron(aggregate_matrix(net, w), tol=tol, max_iter=max_iter)
     return ScoreResult(measure_name="agg_eig", scores=pr.vector,
                        degenerate_warning=pr.degenerate_warning or not pr.converged)
@@ -198,11 +187,7 @@ def local_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
     cols = np.zeros((net.n, net.L))
     flags = []
     for l in range(net.L):
-        mix = sp.csr_array((net.n, net.n))
-        for k in range(net.L):
-            if W.W[l, k] != 0:
-                mix = mix + W.W[l, k] * net.layers[k]
-        mix = sp.csr_array(mix)
+        mix = _weighted_layer_sum(net, W.W[l])
         if mix.nnz == 0:
             flags.append(True)
             continue
@@ -241,7 +226,7 @@ def versatility_centrality(net: MultiplexNetwork, omega=None,
     matrix being irreducible; otherwise the result is start-dependent and
     flagged.
     """
-    w = _check_positive_omega(omega, net.L)
+    w = _check_omega(omega, net.L)
     pr = matrix_perron(supra_adjacency(net), tol=tol, max_iter=max_iter)
     F = pr.vector.reshape((net.L, net.n)).T
     return ScoreResult(measure_name="eig_ver", scores=_normalized(F @ w),
@@ -251,14 +236,6 @@ def versatility_centrality(net: MultiplexNetwork, omega=None,
 def aggregate_degree_centrality(net: MultiplexNetwork) -> ScoreResult:
     """Total incident weight across layers, normalized to sum 1. Always well defined."""
     return ScoreResult(measure_name="agg_deg",
-                       scores=_normalized(aggregate_degree(net)),
+                       scores=_normalized(net.node_strengths),
                        degenerate_warning=False)
 
-
-def warn_if_degenerate(result) -> None:
-    """Emit a RuntimeWarning when a measure's score is not uniquely determined."""
-    if getattr(result, "degenerate_warning", False):
-        warnings.warn(
-            f"{result.measure_name}: dominant eigenvector is not uniquely determined "
-            "on this network; the reported scores are start-dependent",
-            RuntimeWarning, stacklevel=2)

@@ -14,6 +14,7 @@ iteration fails to converge (outputs are still written).
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from pathlib import Path
 
 import click
@@ -28,12 +29,13 @@ from .baselines import (
     local_heterogeneous_centrality,
     versatility_centrality,
 )
-from .errors import InputError
+from .errors import InputError, ValidationError
 from .io import (
     SYMMETRIZE_POLICIES,
     parse_multiplex_edges,
     report_to_dict,
     to_network,
+    write_position_table,
     write_scores,
 )
 from .network import InfluenceMatrix, connectivity
@@ -50,6 +52,58 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
+SOLVER, NODE, PER_LAYER = "solver", "node", "per-layer"
+
+
+def measure_table() -> dict:
+    """Every measure the CLI and the scripts compute: name -> (function, kind).
+
+    ``solver``: ``fn(net, params)`` returns the nonlinear ``(scores, report)``;
+    ``node``: ``fn(net, omega)`` returns a ScoreResult (``agg_deg`` ignores
+    ``omega``); ``per-layer``: ``fn(net, influence)`` returns a
+    CentralityMatrix with one column per layer. Built on each call, so each
+    entry is the function bound to its name in this module at that moment.
+    """
+    return {
+        "nonlinear": (node_layer_centrality, SOLVER),
+        "eig_ver": (versatility_centrality, NODE),
+        "eig_cen": (layerwise_eigenvector_centrality, NODE),
+        "agg_eig": (aggregate_eigenvector_centrality, NODE),
+        "agg_deg": (lambda net, omega: aggregate_degree_centrality(net), NODE),
+        "local_het": (local_heterogeneous_centrality, PER_LAYER),
+        "global_het": (global_heterogeneous_centrality, PER_LAYER),
+    }
+
+
+def _names(*kinds) -> list:
+    return [name for name, (_, kind) in measure_table().items() if kind in kinds]
+
+
+def _parse_option(ctx, param, value):
+    """Turn a comma-separated list option or the --influence file into values.
+
+    Malformed values are reported by click as a usage error (exit 2).
+    ``--influence`` becomes a function of the layer count.
+    """
+    if value is None:
+        return None
+    try:
+        if param.name == "influence":
+            named = {"identity": InfluenceMatrix.identity, "ones": InfluenceMatrix.uniform}
+            if value in named:
+                return named[value]
+            matrix = np.loadtxt(value, ndmin=2)
+            return lambda L: InfluenceMatrix(matrix)
+        items = [v.strip() for v in value.split(",") if v.strip()]
+        if param.name == "measures":
+            unknown = [m for m in items if m not in _names(SOLVER, NODE)]
+            if unknown:
+                raise click.BadParameter(f"unknown measures: {', '.join(unknown)}")
+            return items
+        return [float(v) for v in items]
+    except (OSError, ValueError) as exc:
+        raise click.BadParameter(str(exc)) from None
+
 
 def _load_network(path, nodes, layers, symmetrize):
     text = Path(path).read_text(encoding="utf-8")
@@ -65,6 +119,23 @@ def _emit(output_dir, filename, text):
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / filename).write_text(text, encoding="utf-8")
+
+
+def _node_table(net, columns, rows):
+    """CSV with one row per node: index, label, then one value per column."""
+    labels = net.node_labels or [str(i + 1) for i in range(net.n)]
+    lines = ["index,label," + ",".join(str(c) for c in columns)]
+    for i, row in enumerate(rows):
+        lines.append(f"{i + 1},{labels[i]}," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _warned(name, result):
+    """``result``, after a stderr warning when its scores are not unique."""
+    if result.degenerate_warning:
+        click.echo(f"warning: {name} scores are not uniquely determined "
+                   "on this network", err=True)
+    return result
 
 
 def _network_options(f):
@@ -100,7 +171,18 @@ def _output_options(f):
     return f
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Main(click.Group):
+    """The command group; the one place where rejected input becomes exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InputError as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(EXIT_INPUT)
+
+
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="multicent")
 def main():
     """Node and layer centrality for undirected multiplex networks."""
@@ -110,7 +192,7 @@ def main():
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @_network_options
 @_solver_options
-@click.option("--alpha-list", default=None,
+@click.option("--alpha-list", default=None, callback=_parse_option,
               help="Comma-separated node exponents; runs the exponent sweep "
                    "instead of a single solve.")
 @click.option("--random-start", is_flag=True,
@@ -121,36 +203,29 @@ def centrality(input_path, nodes_override, layers_override, symmetrize,
                alpha, beta, tol, max_iter, stopping_norm, unsafe_params,
                alpha_list, random_start, seed, output_dir, fmt):
     """Nonlinear node/layer centrality of the multiplex in INPUT_PATH."""
-    try:
-        net = _load_network(input_path, nodes_override, layers_override, symmetrize)
-        if alpha_list is not None:
-            alphas = [float(a) for a in alpha_list.split(",") if a.strip()]
-            result = alpha_sweep(net, alphas, beta, tol=tol, max_iter=max_iter,
-                                 stopping_norm=stopping_norm,
-                                 unsafe_params=unsafe_params)
-            _write_sweep(result, output_dir)
-            if not any(e.ok for e in result.entries):
-                raise SystemExit(EXIT_INPUT)
-            if any(e.ok and not e.report.converged for e in result.entries):
-                raise SystemExit(EXIT_NO_CONVERGENCE)
-            return
-        params = SolverParams(alpha=alpha, beta=beta, tol=tol, max_iter=max_iter,
-                              stopping_norm=stopping_norm, unsafe_params=unsafe_params)
-        start = None
-        if random_start:
-            rng = np.random.default_rng(seed)
-            start = NodeLayerScores(x=rng.uniform(0.1, 1.0, net.n),
-                                    t=rng.uniform(0.1, 1.0, net.L))
-        scores, report = node_layer_centrality(net, params, start=start)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
-    node_labels = net.node_labels
-    layer_labels = net.layer_labels
+    net = _load_network(input_path, nodes_override, layers_override, symmetrize)
+    if alpha_list is not None:
+        result = alpha_sweep(net, alpha_list, beta, tol=tol, max_iter=max_iter,
+                             stopping_norm=stopping_norm,
+                             unsafe_params=unsafe_params)
+        _write_sweep(result, output_dir)
+        if not any(e.ok for e in result.entries):
+            raise SystemExit(EXIT_INPUT)
+        if any(e.ok and not e.report.converged for e in result.entries):
+            raise SystemExit(EXIT_NO_CONVERGENCE)
+        return
+    params = SolverParams(alpha=alpha, beta=beta, tol=tol, max_iter=max_iter,
+                          stopping_norm=stopping_norm, unsafe_params=unsafe_params)
+    start = None
+    if random_start:
+        rng = np.random.default_rng(seed)
+        start = NodeLayerScores(x=rng.uniform(0.1, 1.0, net.n),
+                                t=rng.uniform(0.1, 1.0, net.L))
+    scores, report = node_layer_centrality(net, params, start=start)
     _emit(output_dir, f"nodes.{fmt}",
-          write_scores(scores.x, rank(scores.x), fmt=fmt, labels=node_labels))
+          write_scores(scores.x, rank(scores.x), fmt=fmt, labels=net.node_labels))
     _emit(output_dir, f"layers.{fmt}",
-          write_scores(scores.t, rank(scores.t), fmt=fmt, labels=layer_labels))
+          write_scores(scores.t, rank(scores.t), fmt=fmt, labels=net.layer_labels))
     _emit(output_dir, "report.json",
           json.dumps(report_to_dict(report), indent=2) + "\n")
     if not report.converged:
@@ -167,165 +242,102 @@ def _write_sweep(result, output_dir):
         else:
             lines.append(f"{e.alpha!r},,,\"{e.error}\"")
     _emit(output_dir, "sweep_iterations.csv", "\n".join(lines) + "\n")
-    for which, table in (("node", result.node_position_table()),
-                         ("layer", result.layer_position_table())):
-        alphas, pos = table
-        header = "index," + ",".join(repr(a) for a in alphas)
-        lines = [header]
-        for i in range(pos.shape[0]):
-            lines.append(f"{i + 1}," + ",".join(str(p + 1) for p in pos[i]))
-        _emit(output_dir, f"sweep_{which}_positions.csv", "\n".join(lines) + "\n")
-
-
-_BASELINES = ("eig_cen", "agg_eig", "agg_deg", "eig_ver", "local_het", "global_het")
-
-
-def _influence_from(source, L):
-    if source == "identity":
-        return InfluenceMatrix.identity(L)
-    if source == "ones":
-        return InfluenceMatrix.uniform(L)
-    return InfluenceMatrix(np.loadtxt(source, ndmin=2))
+    _emit(output_dir, "sweep_node_positions.csv",
+          write_position_table(result.node_position_table()))
+    _emit(output_dir, "sweep_layer_positions.csv",
+          write_position_table(result.layer_position_table()))
 
 
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @_network_options
-@click.option("--measure", type=click.Choice(_BASELINES), required=True)
-@click.option("--omega", default=None,
+@click.option("--measure", type=click.Choice(_names(NODE, PER_LAYER)), required=True)
+@click.option("--omega", default=None, callback=_parse_option,
               help="Comma-separated positive layer weights (default: all ones).")
-@click.option("--influence", default="ones", show_default=True,
+@click.option("--influence", default="ones", show_default=True, callback=_parse_option,
               help="Influence matrix for the heterogeneous measures: "
                    "'identity', 'ones', or a path to an LxL whitespace matrix.")
 @_output_options
 def baseline(input_path, nodes_override, layers_override, symmetrize,
              measure, omega, influence, output_dir, fmt):
     """One of the linear eigenvector-based centralities of INPUT_PATH."""
-    try:
-        net = _load_network(input_path, nodes_override, layers_override, symmetrize)
-        w = None
-        if omega is not None:
-            w = np.array([float(v) for v in omega.split(",") if v.strip()])
-        if measure in ("local_het", "global_het"):
-            W = _influence_from(influence, net.L)
-            fn = (local_heterogeneous_centrality if measure == "local_het"
-                  else global_heterogeneous_centrality)
-            cm = fn(net, W)
-            if cm.degenerate_warning:
-                click.echo(f"warning: {measure} scores are not uniquely determined "
-                           "on this network", err=True)
-            header = "index,label," + ",".join(
-                str(net.layer_labels[l]) if net.layer_labels else f"layer{l + 1}"
-                for l in range(net.L))
-            lines = [header]
-            labels = net.node_labels or [str(i + 1) for i in range(net.n)]
-            for i in range(net.n):
-                vals = ",".join(repr(float(v)) for v in cm.matrix[i])
-                lines.append(f"{i + 1},{labels[i]},{vals}")
-            _emit(output_dir, f"{measure}.csv", "\n".join(lines) + "\n")
-            return
-        if measure == "eig_cen":
-            res = layerwise_eigenvector_centrality(net, w)
-        elif measure == "agg_eig":
-            res = aggregate_eigenvector_centrality(net, w)
-        elif measure == "eig_ver":
-            res = versatility_centrality(net, w)
-        else:
-            res = aggregate_degree_centrality(net)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
-    if res.degenerate_warning:
-        click.echo(f"warning: {measure} scores are not uniquely determined "
-                   "on this network", err=True)
-    _emit(output_dir, f"{measure}.{fmt}",
-          write_scores(res.scores, rank(res.scores), fmt=fmt, labels=net.node_labels))
-
-
-_COMPARE_MEASURES = ("nonlinear", "eig_ver", "eig_cen", "agg_eig", "agg_deg")
+    net = _load_network(input_path, nodes_override, layers_override, symmetrize)
+    fn, kind = measure_table()[measure]
+    if kind == NODE:
+        res = _warned(measure, fn(net, omega))
+        _emit(output_dir, f"{measure}.{fmt}",
+              write_scores(res.scores, rank(res.scores), fmt=fmt, labels=net.node_labels))
+        return
+    cm = _warned(measure, fn(net, influence(net.L)))
+    columns = net.layer_labels or [f"layer{l + 1}" for l in range(net.L)]
+    _emit(output_dir, f"{measure}.csv", _node_table(net, columns, cm.matrix))
 
 
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @_network_options
 @_solver_options
-@click.option("--measures", default=",".join(_COMPARE_MEASURES), show_default=True,
-              help="Comma-separated subset of: " + ", ".join(_COMPARE_MEASURES))
-@click.option("--k", "top_k", type=int, default=None,
-              help="Also emit the pairwise intersection similarity at this K.")
+@click.option("--measures", default=",".join(_names(SOLVER, NODE)), show_default=True,
+              callback=_parse_option,
+              help="Comma-separated subset of: " + ", ".join(_names(SOLVER, NODE)))
+@click.option("--k", "top_k", type=click.IntRange(min=1), default=None,
+              help="Also emit the pairwise intersection similarity at this K "
+                   "(at most the node count).")
 @_output_options
 def compare(input_path, nodes_override, layers_override, symmetrize,
             alpha, beta, tol, max_iter, stopping_norm, unsafe_params,
             measures, top_k, output_dir, fmt):
-    """Pairwise ranking comparison of several measures on INPUT_PATH."""
+    """Pairwise ranking comparison of several measures on INPUT_PATH.
+
+    A Pearson cell reads nan when a measure is constant on the network.
+    """
     exit_code = EXIT_OK
-    try:
-        net = _load_network(input_path, nodes_override, layers_override, symmetrize)
-        names = [m.strip() for m in measures.split(",") if m.strip()]
-        unknown = [m for m in names if m not in _COMPARE_MEASURES]
-        if unknown:
-            raise click.ClickException(f"unknown measures: {', '.join(unknown)}")
-        vectors = {}
-        for name in names:
-            if name == "nonlinear":
-                params = SolverParams(alpha=alpha, beta=beta, tol=tol,
-                                      max_iter=max_iter, stopping_norm=stopping_norm,
-                                      unsafe_params=unsafe_params)
-                scores, report = node_layer_centrality(net, params)
-                if not report.converged:
-                    click.echo("warning: nonlinear solve did not converge", err=True)
-                    exit_code = EXIT_NO_CONVERGENCE
-                vectors[name] = scores.x
-            elif name == "eig_ver":
-                vectors[name] = _warned(versatility_centrality(net), name)
-            elif name == "eig_cen":
-                vectors[name] = _warned(layerwise_eigenvector_centrality(net), name)
-            elif name == "agg_eig":
-                vectors[name] = _warned(aggregate_eigenvector_centrality(net), name)
-            elif name == "agg_deg":
-                vectors[name] = aggregate_degree_centrality(net).scores
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
+    net = _load_network(input_path, nodes_override, layers_override, symmetrize)
+    table = measure_table()
+    vectors = {}
+    for name in measures:
+        fn, kind = table[name]
+        if kind == SOLVER:
+            params = SolverParams(alpha=alpha, beta=beta, tol=tol,
+                                  max_iter=max_iter, stopping_norm=stopping_norm,
+                                  unsafe_params=unsafe_params)
+            scores, report = fn(net, params)
+            if not report.converged:
+                click.echo("warning: nonlinear solve did not converge", err=True)
+                exit_code = EXIT_NO_CONVERGENCE
+            vectors[name] = scores.x
+        else:
+            vectors[name] = _warned(name, fn(net, None)).scores
 
-    labels = net.node_labels or [str(i + 1) for i in range(net.n)]
-    lines = ["index,label," + ",".join(names)]
-    for i in range(net.n):
-        vals = ",".join(repr(float(vectors[m][i])) for m in names)
-        lines.append(f"{i + 1},{labels[i]},{vals}")
-    _emit(output_dir, "measures.csv", "\n".join(lines) + "\n")
+    rows = [[vectors[m][i] for m in measures] for i in range(net.n)]
+    _emit(output_dir, "measures.csv", _node_table(net, measures, rows))
 
+    pairs = list(combinations(measures, 2))
     lines = ["measure_a,measure_b,pearson"]
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            lines.append(f"{a},{b},{pearson(vectors[a], vectors[b])!r}")
+    for a, b in pairs:
+        try:
+            r = repr(pearson(vectors[a], vectors[b]))
+        except ValidationError as exc:
+            click.echo(f"warning: pearson {a},{b} is nan: {exc}", err=True)
+            r = "nan"
+        lines.append(f"{a},{b},{r}")
     _emit(output_dir, "pearson.csv", "\n".join(lines) + "\n")
 
-    rankings = {m: rank(vectors[m]) for m in names}
+    rankings = {m: rank(vectors[m]) for m in measures}
+    top = None if top_k is None else min(top_k, net.n)
     lines = ["measure_a,measure_b,k,isim"]
-    at_k = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            curve = isim_curve(rankings[a], rankings[b])
-            for k, val in enumerate(curve, start=1):
-                lines.append(f"{a},{b},{k},{float(val)!r}")
-            if top_k is not None:
-                at_k[(a, b)] = float(curve[min(top_k, len(curve)) - 1])
+    at_k = ["measure_a,measure_b,k,isim"]
+    for a, b in pairs:
+        curve = isim_curve(rankings[a], rankings[b])
+        for k, val in enumerate(curve, start=1):
+            lines.append(f"{a},{b},{k},{float(val)!r}")
+        if top is not None:
+            at_k.append(f"{a},{b},{top},{float(curve[top - 1])!r}")
     _emit(output_dir, "isim.csv", "\n".join(lines) + "\n")
-    if top_k is not None:
-        lines = ["measure_a,measure_b,k,isim"]
-        for (a, b), val in at_k.items():
-            lines.append(f"{a},{b},{top_k},{val!r}")
-        _emit(output_dir, "isim_at_k.csv", "\n".join(lines) + "\n")
+    if top is not None:
+        _emit(output_dir, "isim_at_k.csv", "\n".join(at_k) + "\n")
     if exit_code != EXIT_OK:
         raise SystemExit(exit_code)
-
-
-def _warned(res, name):
-    if res.degenerate_warning:
-        click.echo(f"warning: {name} scores are not uniquely determined "
-                   "on this network", err=True)
-    return res.scores
 
 
 @main.command()
@@ -338,13 +350,9 @@ def _warned(res, name):
 def bound(input_path, nodes_override, layers_override, symmetrize,
           alpha, beta, epsilon):
     """A priori iteration-count certificate for the uniform start."""
-    try:
-        net = _load_network(input_path, nodes_override, layers_override, symmetrize)
-        cdata = contraction_factor(alpha, beta)
-        b = iteration_bound(net, alpha, beta, epsilon)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
+    net = _load_network(input_path, nodes_override, layers_override, symmetrize)
+    cdata = contraction_factor(alpha, beta)
+    b = iteration_bound(net, alpha, beta, epsilon)
     click.echo(f"contraction factor rho = {cdata.rho!r}")
     click.echo(f"certificate constant C = {b.C!r}")
     click.echo(f"iterations for max-norm error <= {epsilon!r}: k = {b.k}")
@@ -358,12 +366,8 @@ def bound(input_path, nodes_override, layers_override, symmetrize,
 @_network_options
 def info(input_path, nodes_override, layers_override, symmetrize):
     """Size and connectivity summary of the multiplex in INPUT_PATH."""
-    try:
-        net = _load_network(input_path, nodes_override, layers_override, symmetrize)
-        diag = connectivity(net)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INPUT)
+    net = _load_network(input_path, nodes_override, layers_override, symmetrize)
+    diag = connectivity(net)
     click.echo(f"nodes: {net.n}")
     click.echo(f"layers: {net.L}")
     click.echo(f"undirected edges: {net.edge_count()}")

@@ -188,6 +188,19 @@ def write_scores(scores, ranking: Ranking | None = None, fmt: str = "csv",
     raise ValidationError(f"unknown format {fmt!r}")
 
 
+def write_position_table(table) -> str:
+    """Serialize an ``(alphas, positions)`` sweep table as CSV.
+
+    One row per node or layer (1-based index), one column per exponent,
+    each cell the 1-based rank position at that exponent.
+    """
+    alphas, pos = table
+    lines = ["index," + ",".join(repr(float(a)) for a in alphas)]
+    for i in range(pos.shape[0]):
+        lines.append(f"{i + 1}," + ",".join(str(p + 1) for p in pos[i]))
+    return "\n".join(lines) + "\n"
+
+
 def read_scores(text: str, fmt: str = "csv"):
     """Parse :func:`write_scores` output back into row dictionaries."""
     if fmt == "csv":

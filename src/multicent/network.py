@@ -202,6 +202,9 @@ def build_network(n: int, L: int, edges: Iterable, node_labels=None,
 
 
 def _check_omega(omega, L: int) -> np.ndarray:
+    """Validated layer weights; ``None`` means all ones."""
+    if omega is None:
+        return np.ones(L)
     w = np.asarray(omega, dtype=float)
     if w.shape != (L,):
         raise DimensionError(f"layer weight vector must have length {L}, got shape {w.shape}")
@@ -212,18 +215,18 @@ def _check_omega(omega, L: int) -> np.ndarray:
     return w
 
 
-def aggregate_matrix(net: MultiplexNetwork, omega) -> sp.csr_array:
-    """Weighted sum of the layer matrices, sum_l omega_l A_l."""
-    w = _check_omega(omega, net.L)
+def _weighted_layer_sum(net: MultiplexNetwork, w) -> sp.csr_array:
+    """sum_l w_l A_l over the layers whose weight is nonzero."""
     out = sp.csr_array((net.n, net.n))
     for wl, A in zip(w, net.layers):
-        out = out + wl * A
+        if wl != 0:
+            out = out + wl * A
     return sp.csr_array(out)
 
 
-def aggregate_degree(net: MultiplexNetwork) -> np.ndarray:
-    """Row sums of the unit-weight aggregate: total incident weight per node."""
-    return net.node_strengths.copy()
+def aggregate_matrix(net: MultiplexNetwork, omega) -> sp.csr_array:
+    """Weighted sum of the layer matrices, sum_l omega_l A_l."""
+    return _weighted_layer_sum(net, _check_omega(omega, net.L))
 
 
 def supra_adjacency(net: MultiplexNetwork) -> sp.csr_array:

@@ -119,26 +119,25 @@ class SweepResult:
     def iteration_counts(self) -> list:
         return [e.report.iterations if e.ok else None for e in self.entries]
 
+    def _position_table(self, ranking: str) -> tuple:
+        good = [e for e in self.entries if e.ok]
+        alphas = np.array([e.alpha for e in good])
+        if not good:
+            return alphas, np.zeros((0, 0), dtype=int)
+        pos = np.column_stack([getattr(e, ranking).positions() for e in good])
+        return alphas, pos
+
     def node_position_table(self) -> tuple:
         """(alphas, positions) with positions[i, j] = 0-based rank of node i at alpha_j.
 
         This is the spaghetti-plot data: one line per node across the
         successful sweep entries.
         """
-        good = [e for e in self.entries if e.ok]
-        alphas = np.array([e.alpha for e in good])
-        if not good:
-            return alphas, np.zeros((0, 0), dtype=int)
-        pos = np.column_stack([e.node_ranking.positions() for e in good])
-        return alphas, pos
+        return self._position_table("node_ranking")
 
     def layer_position_table(self) -> tuple:
-        good = [e for e in self.entries if e.ok]
-        alphas = np.array([e.alpha for e in good])
-        if not good:
-            return alphas, np.zeros((0, 0), dtype=int)
-        pos = np.column_stack([e.layer_ranking.positions() for e in good])
-        return alphas, pos
+        """Like :meth:`node_position_table`, for the layer rankings."""
+        return self._position_table("layer_ranking")
 
 
 def alpha_sweep(net: MultiplexNetwork, alphas, beta: float,

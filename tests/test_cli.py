@@ -1,8 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicent.cli import main
 
@@ -90,6 +94,9 @@ class TestCentrality:
         assert "2/beta" in lines[1]  # alpha=1 fails the gate, sweep continues
         pos = (out / "sweep_node_positions.csv").read_text().strip().splitlines()
         assert len(pos) == 5  # header + 4 nodes
+        assert pos[0] == "index,2.1,3.0"
+        layer_pos = (out / "sweep_layer_positions.csv").read_text().splitlines()
+        assert layer_pos[0] == "index,2.1,3.0"
 
     def test_missing_file_exit_2(self, runner):
         res = runner.invoke(main, ["centrality", "nope.edges"])
@@ -186,7 +193,42 @@ class TestCompare:
     def test_unknown_measure_rejected(self, runner, ratio_file):
         res = runner.invoke(main, ["compare", str(ratio_file),
                                    "--measures", "pagerank"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
+        assert "pagerank" in res.output
+
+    def test_constant_measures_give_nan_pearson(self, runner, explanatory_file,
+                                                tmp_path):
+        # every measure is uniform on the explanatory example
+        out = tmp_path / "flat"
+        res = runner.invoke(main, ["compare", str(explanatory_file), "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.exception is None
+        rows = (out / "pearson.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 10  # five measures, ten pairs
+        assert all(r.split(",")[2] == "nan" for r in rows[1:])
+        assert "pearson nonlinear,eig_ver is nan" in res.stderr
+        assert (out / "isim.csv").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_nonpositive_k_rejected(self, runner, ratio_file, tmp_path, k):
+        out = tmp_path / "k"
+        res = runner.invoke(main, ["compare", str(ratio_file),
+                                   "--measures", "nonlinear,agg_deg",
+                                   "--k", k, "-o", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
+    def test_k_beyond_node_count_writes_k_used(self, runner, tmp_path):
+        p = tmp_path / "five.edges"
+        p.write_text("1 1 2 1\n1 2 3 2\n2 3 4 1\n2 4 5 3\n2 1 5 1\n")
+        out = tmp_path / "k"
+        res = runner.invoke(main, ["compare", str(p), "--measures", "nonlinear,agg_deg",
+                                   "--k", "99", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = (out / "isim_at_k.csv").read_text().strip().splitlines()
+        assert rows[1].split(",")[2] == "5"
+        isim = (out / "isim.csv").read_text().strip().splitlines()
+        assert rows[1].split(",")[3] == isim[-1].split(",")[3]
 
     def test_nonlinear_non_convergence_exit_3(self, runner, ratio_file, tmp_path):
         out = tmp_path / "nc"
@@ -245,3 +287,65 @@ class TestInfo:
         res = runner.invoke(main, ["info", str(p)])
         assert res.exit_code == 2
         assert "line 1" in res.output
+
+
+# -- exit-code contract: every input ends in 0, 2 or 3, never in a traceback
+
+_edge = st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+                  st.sampled_from(["", " 1", " 2.5", " 0.5"]))
+_list_tokens = st.lists(st.sampled_from(["2.1", "3", "1", "x", "", "-1", "inf"]),
+                        min_size=1, max_size=3).map(",".join)
+_measure_names = st.sampled_from(["nonlinear", "eig_ver", "eig_cen", "agg_eig", "agg_deg",
+                                  "local_het", "global_het", "foo"])
+_influence = st.sampled_from(["identity", "ones", "missing", "words", "square", "ragged"])
+_INFLUENCE_FILES = {"words": "a b\nc d\n", "square": "1 1\n1 1\n", "ragged": "1 1\n1\n"}
+
+
+@st.composite
+def _argv(draw, d):
+    edges = draw(st.lists(_edge, min_size=1, max_size=8))
+    edge_file = d / "input.edges"
+    edge_file.write_text("".join(f"{l} {i} {j}{w}\n" for l, i, j, w in edges))
+    command = draw(st.sampled_from(["info", "bound", "centrality", "compare", "baseline"]))
+    argv = [command, str(edge_file)]
+    if command == "centrality" and draw(st.booleans()):
+        argv += ["--alpha-list", draw(_list_tokens)]
+    elif command == "compare":
+        names = draw(st.lists(_measure_names, min_size=1, max_size=3))
+        argv += ["--measures", ",".join(names)]
+        if draw(st.booleans()):
+            argv += ["--k", str(draw(st.integers(-1, 8)))]
+    elif command == "baseline":
+        argv += ["--measure", draw(_measure_names)]
+        if draw(st.booleans()):
+            argv += ["--omega", draw(_list_tokens)]
+        source = draw(_influence)
+        if source in _INFLUENCE_FILES:
+            (d / source).write_text(_INFLUENCE_FILES[source])
+        argv += ["--influence", source if source in ("identity", "ones") else str(d / source)]
+    if command != "info":
+        argv += ["-o", str(d / "out")]
+    return argv
+
+
+class TestExitCodes:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_input_exits_0_2_or_3(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = data.draw(_argv(Path(tmp)))
+            res = CliRunner().invoke(main, argv)
+            assert res.exit_code in (0, 2, 3), (argv, res.output)
+            assert res.exception is None or isinstance(res.exception, SystemExit), \
+                (argv, res.output)
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--measures", "foo"],
+        ["centrality", "--alpha-list", "2.1,x"],
+        ["baseline", "--measure", "eig_cen", "--omega", "1,x"],
+        ["baseline", "--measure", "global_het", "--influence", "/nonexistent"],
+    ])
+    def test_malformed_option_exit_2(self, runner, explanatory_file, argv):
+        res = runner.invoke(main, [argv[0], str(explanatory_file), *argv[1:]])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output

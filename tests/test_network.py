@@ -8,7 +8,6 @@ from multicent import (
     InfluenceMatrix,
     MultiplexNetwork,
     ValidationError,
-    aggregate_degree,
     aggregate_matrix,
     build_network,
     connectivity,
@@ -129,11 +128,11 @@ class TestAggregate:
 
 class TestAggregateDegree:
     def test_explanatory_uniform(self, explanatory):
-        np.testing.assert_array_equal(aggregate_degree(explanatory), np.ones(4))
+        np.testing.assert_array_equal(explanatory.node_strengths, np.ones(4))
 
     def test_empty_network(self):
         net = build_network(3, 2, [])
-        np.testing.assert_array_equal(aggregate_degree(net), np.zeros(3))
+        np.testing.assert_array_equal(net.node_strengths, np.zeros(3))
 
 
 class TestSupraAdjacency:
