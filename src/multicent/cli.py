@@ -29,7 +29,7 @@ from .baselines import (
     local_heterogeneous_centrality,
     versatility_centrality,
 )
-from .errors import InputError, ValidationError
+from .errors import InputError, ParseError, ValidationError
 from .io import (
     SYMMETRIZE_POLICIES,
     parse_multiplex_edges,
@@ -59,10 +59,10 @@ def measure_table() -> dict:
     """Every measure the CLI and the scripts compute: name -> (function, kind).
 
     ``solver``: ``fn(net, params)`` returns the nonlinear ``(scores, report)``;
-    ``node``: ``fn(net, omega)`` returns a ScoreResult (``agg_deg`` ignores
-    ``omega``); ``per-layer``: ``fn(net, influence)`` returns a
-    CentralityMatrix with one column per layer. Built on each call, so each
-    entry is the function bound to its name in this module at that moment.
+    ``node``: ``fn(net, omega)`` returns a ScoreResult (``agg_deg`` takes no
+    layer weights: ``omega`` is None); ``per-layer``: ``fn(net, influence)``
+    returns a CentralityMatrix with one column per layer. Built on each call,
+    so each entry is the function bound to its name in this module then.
     """
     return {
         "nonlinear": (node_layer_centrality, SOLVER),
@@ -106,9 +106,11 @@ def _parse_option(ctx, param, value):
 
 
 def _load_network(path, nodes, layers, symmetrize):
-    text = Path(path).read_text(encoding="utf-8")
-    doc = parse_multiplex_edges(text)
-    return to_network(doc, n=nodes, L=layers, symmetrize=symmetrize)
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+    return to_network(parse_multiplex_edges(text), n=nodes, L=layers, symmetrize=symmetrize)
 
 
 def _emit(output_dir, filename, text):
@@ -261,8 +263,11 @@ def _write_sweep(result, output_dir):
 def baseline(input_path, nodes_override, layers_override, symmetrize,
              measure, omega, influence, output_dir, fmt):
     """One of the linear eigenvector-based centralities of INPUT_PATH."""
-    net = _load_network(input_path, nodes_override, layers_override, symmetrize)
     fn, kind = measure_table()[measure]
+    if omega is not None and (kind == PER_LAYER or measure == "agg_deg"):
+        raise click.UsageError(f"--omega does not apply to {measure}, "
+                               "which takes no layer weights")
+    net = _load_network(input_path, nodes_override, layers_override, symmetrize)
     if kind == NODE:
         res = _warned(measure, fn(net, omega))
         _emit(output_dir, f"{measure}.{fmt}",

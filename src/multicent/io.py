@@ -10,7 +10,9 @@ under an explicit policy.
 from __future__ import annotations
 
 import json
+import math
 import warnings
+from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,9 +27,10 @@ SYMMETRIZE_POLICIES = ("mirror", "max", "error")
 
 @dataclass
 class EdgeListDocument:
-    """Parsed records plus the node/layer counts inferred from the indices."""
+    """``records``: the (m, 4) float array of ``layer, a, b, weight`` rows in
+    file order, 1-based; plus the node/layer counts inferred from them."""
 
-    records: tuple
+    records: np.ndarray
     inferred_n: int
     inferred_L: int
 
@@ -39,9 +42,7 @@ def parse_multiplex_edges(text: str) -> EdgeListDocument:
     ``#`` are skipped. Each remaining line must have 3 or 4 fields:
     layer, node, node, and an optional positive weight.
     """
-    records = []
-    max_node = 0
-    max_layer = 0
+    flat = array("d")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -53,24 +54,21 @@ def parse_multiplex_edges(text: str) -> EdgeListDocument:
             layer, a, b = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError(f"non-integer index in {line!r}", lineno) from None
-        if len(parts) == 4:
-            try:
-                w = float(parts[3])
-            except ValueError:
-                raise ParseError(f"bad weight in {line!r}", lineno) from None
-        else:
-            w = 1.0
+        try:
+            w = float(parts[3]) if len(parts) == 4 else 1.0
+        except ValueError:
+            raise ParseError(f"bad weight in {line!r}", lineno) from None
         if layer < 1 or a < 1 or b < 1:
             raise ValidationError(f"line {lineno}: indices must be positive (1-based)")
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise ValidationError(f"line {lineno}: weight must be finite")
         if w <= 0:
             raise ValidationError(f"line {lineno}: weight must be positive")
-        records.append((layer, a, b, w))
-        max_node = max(max_node, a, b)
-        max_layer = max(max_layer, layer)
-    return EdgeListDocument(records=tuple(records), inferred_n=max_node,
-                            inferred_L=max_layer)
+        flat.extend((layer, a, b, w))
+    records = np.frombuffer(flat, dtype=float).reshape(-1, 4)
+    top = records.max(axis=0, initial=0.0)
+    return EdgeListDocument(records=records, inferred_n=int(max(top[1], top[2])),
+                            inferred_L=int(top[0]))
 
 
 def to_network(doc: EdgeListDocument, n: int | None = None, L: int | None = None,
@@ -80,61 +78,56 @@ def to_network(doc: EdgeListDocument, n: int | None = None, L: int | None = None
 
     ``n``/``L`` override the inferred counts (they may only enlarge them).
     Since the files list an undirected edge either once or in both
-    directions, the per-direction weights are first accumulated and then
-    reconciled per unordered pair:
+    directions, the weights of each direction are first summed in file
+    order and then reconciled per unordered pair:
 
     - ``mirror`` (default): a single listed direction is mirrored; when both
       directions appear with equal weight they count as one edge; unequal
       weights take the maximum and emit a warning.
     - ``max``: like mirror, but unequal weights take the maximum silently.
     - ``error``: unequal weights for the two directions raise instead.
+
+    Warnings are emitted, and the ``error`` policy raises, in the order of
+    each pair's first low-to-high record.
     """
     if symmetrize not in SYMMETRIZE_POLICIES:
         raise ValidationError(f"unknown symmetrize policy {symmetrize!r}")
     n_final = doc.inferred_n if n is None else n
     L_final = doc.inferred_L if L is None else L
-    if n is not None and n < doc.inferred_n:
-        raise ValidationError(f"node override {n} is below the largest index seen "
-                              f"({doc.inferred_n})")
-    if L is not None and L < doc.inferred_L:
-        raise ValidationError(f"layer override {L} is below the largest index seen "
-                              f"({doc.inferred_L})")
+    for what, given, seen in (("node", n, doc.inferred_n), ("layer", L, doc.inferred_L)):
+        if given is not None and given < seen:
+            raise ValidationError(f"{what} override {given} is below the largest index "
+                                  f"seen ({seen})")
     if n_final < 1 or L_final < 1:
         raise ValidationError("cannot infer network size from an empty document; "
                               "pass explicit node and layer counts")
 
-    directed: dict = {}
-    for layer, a, b, w in doc.records:
-        key = (layer, a, b)
-        directed[key] = directed.get(key, 0.0) + w
+    layer, a, b, w = doc.records.T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # group the records by (layer, lo, hi); a listed direction that is not
+    # low-to-high sums into w_ba, and an unlisted one stays 0
+    order = np.lexsort((hi, lo, layer))
+    keys = np.stack((layer, lo, hi), axis=1)[order]
+    first_of_pair = np.diff(keys, axis=0, prepend=0.0).any(axis=1)  # indices are >= 1
+    pairs = keys[first_of_pair]
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first_of_pair) - 1
+    forward = a <= b
+    w_ab = np.bincount(group, np.where(forward, w, 0.0), minlength=len(pairs))
+    w_ba = np.bincount(group, np.where(forward, 0.0, w), minlength=len(pairs))
 
-    edges = []
-    for (layer, a, b), w_ab in directed.items():
-        if a > b:
-            continue  # handled from the (b, a) side below
-        if a == b:
-            edges.append((layer, a, b, w_ab))
-            continue
-        w_ba = directed.get((layer, b, a))
-        if w_ba is None:
-            edges.append((layer, a, b, w_ab))
-        elif w_ab == w_ba:
-            edges.append((layer, a, b, w_ab))
-        else:
+    clash = np.flatnonzero((w_ab != w_ba) & (w_ab > 0) & (w_ba > 0))
+    if len(clash) and symmetrize != "max":
+        listed = np.flatnonzero(forward & np.isin(group, clash))
+        _, first = np.unique(group[listed], return_index=True)
+        for g in clash[np.argsort(listed[first])]:
+            l, i, j = (int(v) for v in pairs[g])
+            both = f"{w_ab[g].item()} vs {w_ba[g].item()}"
             if symmetrize == "error":
-                raise ValidationError(
-                    f"asymmetric weights for nodes {a},{b} on layer {layer}: "
-                    f"{w_ab} vs {w_ba}")
-            if symmetrize == "mirror":
-                warnings.warn(
-                    f"unequal weights for nodes {a},{b} on layer {layer} "
-                    f"({w_ab} vs {w_ba}); keeping the maximum", RuntimeWarning,
-                    stacklevel=2)
-            edges.append((layer, a, b, max(w_ab, w_ba)))
-    # pairs listed only as (b, a) with a < b never hit the loop above
-    for (layer, a, b), w_ab in directed.items():
-        if a > b and (layer, b, a) not in directed:
-            edges.append((layer, b, a, w_ab))
+                raise ValidationError(f"asymmetric weights for nodes {i},{j} on layer {l}: {both}")
+            warnings.warn(f"unequal weights for nodes {i},{j} on layer {l} ({both}); "
+                          "keeping the maximum", RuntimeWarning, stacklevel=2)
+    edges = np.column_stack((pairs, np.maximum(w_ab, w_ba)))
     return build_network(n_final, L_final, edges,
                          node_labels=node_labels, layer_labels=layer_labels)
 

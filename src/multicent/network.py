@@ -7,7 +7,7 @@ the structural constructions every centrality routine consumes (aggregate
 matrix, supra-adjacency matrix, influence-weighted block matrix) are built
 from them here.
 
-External interfaces (edge tuples, permutations) use 1-based node and layer
+External interfaces (edge records, permutations) use 1-based node and layer
 indices, matching the common edge-list file convention. Everything stored on
 a :class:`MultiplexNetwork` is 0-based.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,10 +84,7 @@ class MultiplexNetwork:
     @cached_property
     def node_strengths(self) -> np.ndarray:
         """Total incident weight of each node summed over all layers."""
-        out = np.zeros(self.n)
-        for A in self.layers:
-            out += A.sum(axis=1)
-        return out
+        return sum(A.sum(axis=1) for A in self.layers)
 
     @cached_property
     def layer_strengths(self) -> np.ndarray:
@@ -100,11 +97,7 @@ class MultiplexNetwork:
 
     def edge_count(self) -> int:
         """Number of stored undirected edges (self-loops count once)."""
-        total = 0
-        for A in self.layers:
-            off = A.nnz - np.count_nonzero(A.diagonal())
-            total += off // 2 + np.count_nonzero(A.diagonal())
-        return total
+        return sum((A.nnz + np.count_nonzero(A.diagonal())) // 2 for A in self.layers)
 
     def __repr__(self):
         return (f"MultiplexNetwork(n={self.n}, L={self.L}, "
@@ -155,48 +148,54 @@ class ConnectivityDiagnostics:
     empty_layers: tuple
 
 
-def build_network(n: int, L: int, edges: Iterable, node_labels=None,
-                  layer_labels=None) -> MultiplexNetwork:
-    """Assemble a multiplex from 1-based undirected edge tuples.
+def _layer_matrix(n: int, i, j, w) -> sp.csr_array:
+    """One layer's CSR with each record at (i, j) and, off the diagonal, at
+    (j, i); entries go in record by record, so repeats sum in that order."""
+    keep = np.stack((np.ones(len(i), dtype=bool), i != j), axis=1).reshape(-1)
+    coords = np.stack((i, j, j, i), axis=1).reshape(-1, 2)[keep].T
+    return sp.coo_array((np.repeat(w, 2)[keep], coords), shape=(n, n)).tocsr()
 
-    ``edges`` yields ``(layer, i, j, weight)`` with ``1 <= layer <= L`` and
-    ``1 <= i, j <= n``. Each tuple inserts both (i, j) and (j, i); repeated
-    tuples for the same layer and pair accumulate by summation. Self-loops
-    are kept.
+
+def build_network(n: int, L: int, edges, node_labels=None,
+                  layer_labels=None) -> MultiplexNetwork:
+    """Assemble a multiplex from 1-based undirected edge records.
+
+    ``edges`` is an (m, 4) array or a sequence of ``(layer, i, j, weight)``
+    records with integer ``1 <= layer <= L`` and ``1 <= i, j <= n``. Each
+    record inserts both (i, j) and (j, i); repeated records for the same
+    layer and pair accumulate by summation. Self-loops are kept.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"node count must be a positive integer, got {n!r}")
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValidationError(f"layer count must be a positive integer, got {L!r}")
-    rows = [[] for _ in range(L)]
-    cols = [[] for _ in range(L)]
-    vals = [[] for _ in range(L)]
-    for entry in edges:
-        try:
-            layer, i, j, w = entry
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"edge {entry!r}: expected (layer, i, j, weight)") from exc
-        if not 1 <= layer <= L:
-            raise ValidationError(f"edge {entry!r}: layer index out of range 1..{L}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValidationError(f"edge {entry!r}: node index out of range 1..{n}")
-        w = float(w)
-        if not np.isfinite(w):
-            raise ValidationError(f"edge {entry!r}: non-finite weight")
-        if w <= 0:
-            raise ValidationError(f"edge {entry!r}: weight must be positive")
-        l0, i0, j0 = layer - 1, i - 1, j - 1
-        rows[l0].append(i0)
-        cols[l0].append(j0)
-        vals[l0].append(w)
-        if i0 != j0:
-            rows[l0].append(j0)
-            cols[l0].append(i0)
-            vals[l0].append(w)
-    layers = []
-    for l0 in range(L):
-        A = sp.coo_array((vals[l0], (rows[l0], cols[l0])), shape=(n, n))
-        layers.append(A.tocsr())  # duplicate coordinates are summed here
+    try:
+        records = edges if isinstance(edges, np.ndarray) else list(edges)
+        E = np.asarray(records, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"edges: expected (layer, i, j, weight) records ({exc})") from None
+    E = E.reshape(0, 4) if E.shape == (0,) else E
+    if E.shape[1:] != (4,):
+        raise ValidationError(f"edges: expected (layer, i, j, weight) rows, got shape {E.shape}")
+    layer, i, j, w = E.T
+    checks = (
+        (~((1 <= layer) & (layer <= L)), f"layer index out of range 1..{L}"),
+        (~((1 <= i) & (i <= n) & (1 <= j) & (j <= n)), f"node index out of range 1..{n}"),
+        (~np.isfinite(w), "non-finite weight"),
+        (~(w > 0), "weight must be positive"),
+        (np.any(E[:, :3] != np.floor(E[:, :3]), axis=1), "indices must be integers"),
+    )
+    failed = np.array([mask for mask, _ in checks])
+    if failed.any():
+        row = failed.any(axis=0).argmax()  # the first bad record, then its first problem
+        problem = checks[failed[:, row].argmax()][1]
+        entry = records[row].tolist() if isinstance(records, np.ndarray) else records[row]
+        raise ValidationError(f"edge {entry!r}: {problem}")
+
+    l0, i0, j0 = (E[:, :3].astype(np.intp) - 1).T
+    by_layer = np.argsort(l0, kind="stable")  # record order kept within a layer
+    layers = [_layer_matrix(n, i0[rec], j0[rec], w[rec])
+              for rec in np.split(by_layer, np.searchsorted(l0[by_layer], np.arange(1, L)))]
     return MultiplexNetwork(n=n, L=L, layers=layers,
                             node_labels=node_labels, layer_labels=layer_labels)
 

@@ -1,11 +1,14 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here works on dense tensors with explicit loops or einsum and
-never touches the package's sparse code paths, so agreement between the two
+Everything here works with explicit loops, dense tensors or einsum and
+never touches the package's code paths, so agreement between the two
 routes is meaningful.
 """
 
 import numpy as np
+import scipy.sparse as sp
+
+from multicent import ValidationError
 
 
 def dense_tensor(net):
@@ -94,3 +97,57 @@ def perron_dense(M):
         v = -v
     v = np.clip(v, 0.0, None)
     return float(vals[idx]), v / v.sum()
+
+
+def load_edges_loop(text, n=None, L=None, symmetrize="mirror"):
+    """Reference loader: edge-list text to per-layer CSR by per-record loops.
+
+    Sums each direction's weights in a dict in file order, reconciles every
+    pair when its first low-to-high record is reached (pairs listed only
+    high-to-low come last), then inserts each edge at (i, j) and (j, i).
+    Returns ``(layers, messages)``: the CSR matrices and the mirror-policy
+    warning texts in order. Under ``error`` a clash raises ValidationError
+    with the package's message. Expects valid, non-empty input.
+    """
+    records = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        w = float(parts[3]) if len(parts) == 4 else 1.0
+        records.append((int(parts[0]), int(parts[1]), int(parts[2]), w))
+    n = max(max(a, b) for _, a, b, _ in records) if n is None else n
+    L = max(layer for layer, _, _, _ in records) if L is None else L
+
+    directed = {}
+    for layer, a, b, w in records:
+        directed[(layer, a, b)] = directed.get((layer, a, b), 0.0) + w
+    edges, messages = [], []
+    for (layer, a, b), w_ab in directed.items():
+        if a > b:
+            continue
+        w_ba = directed.get((layer, b, a))
+        if a == b or w_ba is None or w_ab == w_ba:
+            edges.append((layer, a, b, w_ab))
+            continue
+        if symmetrize == "error":
+            raise ValidationError(f"asymmetric weights for nodes {a},{b} on layer "
+                                  f"{layer}: {w_ab} vs {w_ba}")
+        if symmetrize == "mirror":
+            messages.append(f"unequal weights for nodes {a},{b} on layer {layer} "
+                            f"({w_ab} vs {w_ba}); keeping the maximum")
+        edges.append((layer, a, b, max(w_ab, w_ba)))
+    for (layer, a, b), w_ab in directed.items():
+        if a > b and (layer, b, a) not in directed:
+            edges.append((layer, b, a, w_ab))
+
+    rows, cols, vals = ([[] for _ in range(L)] for _ in range(3))
+    for layer, i, j, w in edges:
+        for r, c in ((i, j), (j, i)) if i != j else ((i, j),):
+            rows[layer - 1].append(r - 1)
+            cols[layer - 1].append(c - 1)
+            vals[layer - 1].append(w)
+    layers = [sp.coo_array((vals[l], (rows[l], cols[l])), shape=(n, n)).tocsr()
+              for l in range(L)]
+    return layers, messages

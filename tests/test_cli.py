@@ -339,6 +339,25 @@ class TestExitCodes:
             assert res.exception is None or isinstance(res.exception, SystemExit), \
                 (argv, res.output)
 
+    def test_non_utf8_input_exit_2(self, runner, tmp_path):
+        p = tmp_path / "latin1.edges"
+        p.write_bytes(b"1 1 2 \xff\n")
+        res = runner.invoke(main, ["info", str(p)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error:") and "byte offset 6" in res.stderr
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("measure", ["agg_deg", "local_het", "global_het"])
+    def test_omega_for_unweighted_measure_exit_2(self, runner, explanatory_file, tmp_path,
+                                                 measure):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["baseline", str(explanatory_file), "--measure", measure,
+                                   "--omega", "5,1", "-o", str(out)])
+        assert res.exit_code == 2
+        assert f"--omega does not apply to {measure}" in res.stderr
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["compare", "--measures", "foo"],
         ["centrality", "--alpha-list", "2.1,x"],

@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicent import (
     ConvergenceReport,
@@ -16,8 +19,10 @@ from multicent import (
     write_multiplex_edges,
     write_scores,
 )
+from multicent.io import SYMMETRIZE_POLICIES
 
 from conftest import make_explanatory, random_sparse_multiplex
+from oracles import load_edges_loop
 
 
 class TestParse:
@@ -31,7 +36,7 @@ class TestParse:
 
     def test_comments_blanks_default_weight(self):
         doc = parse_multiplex_edges("# comment\n\n1 1 2\n")
-        assert doc.records == ((1, 1, 2, 1.0),)
+        assert doc.records.tolist() == [[1, 1, 2, 1.0]]
 
     def test_crlf_accepted(self):
         doc = parse_multiplex_edges("1 1 2 1\r\n1 2 3 2\r\n")
@@ -142,6 +147,67 @@ class TestToNetwork:
     def test_self_loops_kept(self):
         net = to_network(parse_multiplex_edges("1 2 2 4\n"))
         assert net.layers[0].toarray()[1, 1] == 4.0
+
+
+# -- the loader against the per-record reference in oracles.py
+
+_WEIGHTS = ("", " 1", " 2", " 0.5", " 0.1", " 0.2", " 0.3", " 3")
+
+
+@st.composite
+def _edge_text(draw):
+    """Edge-list text with both directions (equal and unequal weights),
+    repeated records, self-loops, comments, blank lines and CRLF endings,
+    plus node/layer overrides at or above the inferred counts."""
+    records = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+                                      st.sampled_from(_WEIGHTS)), min_size=1, max_size=12))
+    lines = []
+    for layer, a, b, w in records:
+        lines.append(f"{layer} {a} {b}{w}")
+        for extra in draw(st.lists(st.sampled_from(["reverse", "repeat"]), max_size=2)):
+            if extra == "reverse":
+                w = draw(st.sampled_from((w,) + _WEIGHTS))
+                lines.append(f"{layer} {b} {a}{w}")
+            else:
+                lines.append(f"{layer} {a} {b}{w}")
+    lines = draw(st.permutations(lines))
+    for filler in draw(st.lists(st.sampled_from(["# comment", "", "   ", "#1 1 2"]),
+                                max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    n_seen = max(max(a, b) for _, a, b, _ in records)
+    L_seen = max(layer for layer, _, _, _ in records)
+    n = draw(st.one_of(st.none(), st.integers(n_seen, n_seen + 2)))
+    L = draw(st.one_of(st.none(), st.integers(L_seen, L_seen + 2)))
+    return text, n, L
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_edge_text())
+    def test_same_layers_warnings_and_errors(self, case):
+        text, n, L = case
+        for symmetrize in SYMMETRIZE_POLICIES:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    got = to_network(parse_multiplex_edges(text), n=n, L=L,
+                                     symmetrize=symmetrize).layers
+                except ValidationError as exc:
+                    got = str(exc)
+            try:
+                want, want_warnings = load_edges_loop(text, n=n, L=L, symmetrize=symmetrize)
+            except ValidationError as exc:
+                want, want_warnings = str(exc), []
+            assert [str(w.message) for w in caught] == want_warnings, symmetrize
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert len(got) == len(want)
+            for A, B in zip(got, want):
+                np.testing.assert_array_equal(A.indptr, B.indptr)
+                np.testing.assert_array_equal(A.indices, B.indices)
+                assert A.data.tobytes() == B.data.tobytes()
 
 
 class TestRoundTrip:

@@ -58,6 +58,11 @@ class TestBuildNetwork:
         with pytest.raises(ValidationError):
             build_network(3, 1, [(1, 0, 2, 1.0)])
 
+    @pytest.mark.parametrize("edge", [(1, 1.5, 2, 1.0), (1.5, 1, 2, 1.0), ("x", 1, 2, 1.0)])
+    def test_unstorable_entries_rejected(self, edge):
+        with pytest.raises(ValidationError):
+            build_network(3, 2, [edge])
+
     def test_bad_weights(self):
         with pytest.raises(ValidationError):
             build_network(2, 1, [(1, 1, 2, -1.0)])
