@@ -133,16 +133,22 @@ def matrix_perron(M, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
 def layer_eigenvectors(net: MultiplexNetwork, tol: float = PERRON_TOL,
                        max_iter: int = PERRON_MAX_ITER) -> CentralityMatrix:
     """Column l = Perron vector of layer l alone; empty layers give zero columns."""
+    return _perron_columns(net, net.layers, "layer_eigenvectors", tol, max_iter)
+
+
+def _perron_columns(net, matrices, measure_name, tol, max_iter) -> CentralityMatrix:
+    """Column l = Perron vector of the l-th of the L matrices; an empty one
+    gives a zero column flagged degenerate."""
     cols = np.zeros((net.n, net.L))
     flags = []
-    for l, A in enumerate(net.layers):
+    for l, A in enumerate(matrices):
         if A.nnz == 0:
             flags.append(True)
             continue
         pr = matrix_perron(A, tol=tol, max_iter=max_iter)
         cols[:, l] = pr.vector
         flags.append(pr.degenerate_warning or not pr.converged)
-    return CentralityMatrix(matrix=cols, measure_name="layer_eigenvectors",
+    return CentralityMatrix(matrix=cols, measure_name=measure_name,
                             column_degenerate=tuple(flags))
 
 
@@ -184,18 +190,8 @@ def local_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
         raise DimensionError(f"influence matrix side {W.L} does not match layer count {net.L}")
     if np.any(W.W.sum(axis=1) == 0):
         raise ValidationError("influence matrix has a zero row (empty layer mixture)")
-    cols = np.zeros((net.n, net.L))
-    flags = []
-    for l in range(net.L):
-        mix = _weighted_layer_sum(net, W.W[l])
-        if mix.nnz == 0:
-            flags.append(True)
-            continue
-        pr = matrix_perron(mix, tol=tol, max_iter=max_iter)
-        cols[:, l] = pr.vector
-        flags.append(pr.degenerate_warning or not pr.converged)
-    return CentralityMatrix(matrix=cols, measure_name="local_het",
-                            column_degenerate=tuple(flags))
+    mixtures = (_weighted_layer_sum(net, W.W[l]) for l in range(net.L))
+    return _perron_columns(net, mixtures, "local_het", tol, max_iter)
 
 
 def global_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
@@ -207,9 +203,7 @@ def global_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
         raise ValidationError("influence block matrix is identically zero")
     pr = matrix_perron(K, tol=tol, max_iter=max_iter)
     F = pr.vector.reshape((net.L, net.n)).T
-    cols = np.zeros_like(F)
-    for l in range(net.L):
-        cols[:, l] = _normalized(F[:, l])
+    cols = np.column_stack([_normalized(f) for f in F.T])
     flag = pr.degenerate_warning or not pr.converged
     return CentralityMatrix(matrix=cols, measure_name="global_het",
                             column_degenerate=(flag,) * net.L)

@@ -13,6 +13,7 @@ iteration fails to converge (outputs are still written).
 
 from __future__ import annotations
 
+import ctypes
 import json
 from itertools import combinations
 from pathlib import Path
@@ -188,6 +189,15 @@ class _Main(click.Group):
 @click.version_option(version=__version__, prog_name="multicent")
 def main():
     """Node and layer centrality for undirected multiplex networks."""
+    # glibc raises its mmap threshold (mallopt -3) to the size of each freed
+    # mmapped block, up to 32 MiB. Once a load has freed its first arrays of
+    # records, later ones come from the brk heap, which keeps them resident
+    # and fragmented after their free. Setting the threshold holds it at its
+    # starting 128 KiB, so large arrays go back to the system when freed.
+    try:
+        ctypes.CDLL(None).mallopt(-3, 128 * 1024)
+    except (AttributeError, OSError, TypeError):  # no glibc
+        pass
 
 
 @main.command()

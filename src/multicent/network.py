@@ -263,10 +263,7 @@ def khatri_rao_influence(net: MultiplexNetwork, W: InfluenceMatrix) -> sp.csr_ar
 
 def connectivity(net: MultiplexNetwork) -> ConnectivityDiagnostics:
     """Connectedness of each layer and of the aggregate, plus degenerate index sets."""
-    layer_conn = []
-    for A in net.layers:
-        ncomp, _ = connected_components(A, directed=False)
-        layer_conn.append(bool(ncomp == 1))
+    layer_conn = [bool(connected_components(A, directed=False)[0] == 1) for A in net.layers]
     agg = aggregate_matrix(net, np.ones(net.L))
     ncomp_agg, _ = connected_components(agg, directed=False)
     isolated = tuple(int(i) for i in np.flatnonzero(net.node_strengths == 0))

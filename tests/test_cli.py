@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multicent
 from multicent.cli import main
 
 
@@ -368,3 +372,36 @@ class TestExitCodes:
         res = runner.invoke(main, [argv[0], str(explanatory_file), *argv[1:]])
         assert res.exit_code == 2
         assert "Traceback" not in res.output
+
+
+# A child process so that no earlier command has set the allocator already.
+FREED_ARRAY_RSS_KB = """
+import sys
+import numpy as np
+from click.testing import CliRunner
+from multicent.cli import main
+
+assert CliRunner().invoke(main, ["info", sys.argv[1]]).exit_code == 0
+
+def rss_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmRSS:"))
+
+np.ones(1 << 21)  # 16 MiB, freed at once
+before = rss_kb()
+a = np.ones(1 << 21)
+del a
+print(rss_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_freed_large_array_goes_back_to_the_system(explanatory_file):
+    """After a command, a second 16 MiB array is still unmapped when freed
+    instead of staying resident in the heap."""
+    src = str(Path(multicent.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", FREED_ARRAY_RSS_KB, str(explanatory_file)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 4096
