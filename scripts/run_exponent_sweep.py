@@ -17,13 +17,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multicent import (  # noqa: E402
+    InputError,
     alpha_sweep,
     contraction_factor,
     isim_curve,
-    parse_multiplex_edges,
-    to_network,
     write_position_table,
 )
+from multicent.cli import EXIT_INPUT, _load_network  # noqa: E402
+
+
+def float_list(text):
+    return [float(a) for a in text.split(",") if a.strip()]
 
 
 def main():
@@ -31,18 +35,15 @@ def main():
     parser.add_argument("input", help="multiplex edge-list file")
     parser.add_argument("--nodes", type=int, default=None)
     parser.add_argument("--layers", type=int, default=None)
-    parser.add_argument("--alphas", default="2.1,2.5,2.7,3,4,5,10")
+    parser.add_argument("--alphas", type=float_list, default="2.1,2.5,2.7,3,4,5,10")
     parser.add_argument("--beta", type=float, default=2.0)
     parser.add_argument("--tol", type=float, default=1e-6)
     parser.add_argument("--out", type=Path, default=None,
                         help="write rank-position tables (spaghetti data) here")
     args = parser.parse_args()
 
-    text = Path(args.input).read_text(encoding="utf-8")
-    net = to_network(parse_multiplex_edges(text), n=args.nodes, L=args.layers)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-
-    result = alpha_sweep(net, alphas, args.beta, tol=args.tol, max_iter=5000)
+    net = _load_network(args.input, args.nodes, args.layers, "mirror")
+    result = alpha_sweep(net, args.alphas, args.beta, tol=args.tol, max_iter=5000)
 
     print(f"{'alpha':>8} {'rho':>8} {'iters':>6} {'bound':>6} "
           f"{'isim@10 vs first':>18}")
@@ -67,4 +68,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INPUT)

@@ -22,17 +22,16 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multicent import (  # noqa: E402
+    InputError,
     SolverParams,
     build_network,
     isim_curve,
     node_layer_centrality,
-    parse_multiplex_edges,
     pearson,
     rank,
-    to_network,
     write_scores,
 )
-from multicent.cli import NODE, measure_table  # noqa: E402
+from multicent.cli import EXIT_INPUT, NODE, _load_network, measure_table  # noqa: E402
 
 
 def demo_network(seed=0, n=40, L=4):
@@ -62,8 +61,7 @@ def main():
     args = parser.parse_args()
 
     if args.input:
-        text = Path(args.input).read_text(encoding="utf-8")
-        net = to_network(parse_multiplex_edges(text), n=args.nodes, L=args.layers)
+        net = _load_network(args.input, args.nodes, args.layers, "mirror")
     else:
         print("no input file given; using a generated 40-node demo multiplex")
         net = demo_network()
@@ -117,4 +115,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INPUT)

@@ -109,6 +109,8 @@ def _parse_option(ctx, param, value):
 def _load_network(path, nodes, layers, symmetrize):
     try:
         text = Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
     return to_network(parse_multiplex_edges(text), n=nodes, L=layers, symmetrize=symmetrize)

@@ -14,6 +14,7 @@ import math
 import warnings
 from array import array
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,13 +36,78 @@ class EdgeListDocument:
     inferred_L: int
 
 
+MAX_INDEX = 2**53  # the largest integer that the float64 records hold exactly
+
+# Every character of a text the vectorized parser may read: digits, the signs,
+# dot and exponent of a float, spaces, tabs and line ends. Any other character
+# (a ``#`` comment, a vertical tab, an underscore, ``nan``, a non-ASCII digit or
+# space) sends the text to the line loop, so what the vectorized parser accepts
+# does not rest on how numpy tokenizes it.
+_FAST_CHARS = b"0123456789 \t\n\r.eE+-"
+
+
 def parse_multiplex_edges(text: str) -> EdgeListDocument:
     """Parse edge-list text into records, preserving 1-based indices.
 
     Accepts LF or CRLF line endings. Blank lines and lines starting with
     ``#`` are skipped. Each remaining line must have 3 or 4 fields:
-    layer, node, node, and an optional positive weight.
+    layer, node, node, and an optional positive weight. Indices must lie
+    in 1..2**53.
+
+    Plain numeric text is read in one vectorized pass; any other text, and
+    any text that pass has doubts about, goes through the line loop, which
+    raises every line-numbered error.
     """
+    records = _parse_numeric(text)
+    if records is None:
+        records = _parse_lines(text)
+    top = records.max(axis=0, initial=0.0)
+    return EdgeListDocument(records=records, inferred_n=int(max(top[1], top[2])),
+                            inferred_L=int(top[0]))
+
+
+def _parse_numeric(text: str) -> np.ndarray | None:
+    """The records of ``text`` read by ``np.loadtxt``, or None when in doubt.
+
+    Returns an array only where the line loop would return the same bytes:
+    the text holds only :data:`_FAST_CHARS`, every line has the field count
+    of the first one, loadtxt neither raises nor warns, and every index and
+    weight passes the loop's checks.
+    """
+    if not text.isascii() or text.encode("ascii").translate(None, _FAST_CHARS):
+        return None
+    fields = len(next(filter(str.strip, _lines(text)), "").split())
+    if fields not in (3, 4):
+        return None
+    dtype = np.dtype([("layer", np.int64), ("a", np.int64), ("b", np.int64),
+                      ("w", np.float64)][:fields])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(_lines(text), dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    indices = [table[name] for name in dtype.names[:3]]
+    if any(col.min() < 1 or col.max() > MAX_INDEX for col in indices):
+        return None
+    if fields == 4 and not np.all((table["w"] > 0) & (table["w"] < np.inf)):
+        return None
+    records = np.ones((len(table), 4))
+    for k, name in enumerate(dtype.names):
+        records[:, k] = table[name]
+    return records
+
+
+def _lines(text: str):
+    """``text.splitlines()`` as an iterator, split 1 MiB at a time to bound the memory."""
+    ends = [0]
+    while ends[-1] < len(text):
+        ends.append(text.find("\n", ends[-1] + (1 << 20)) + 1 or len(text))
+    return chain.from_iterable(text[a:b].splitlines() for a, b in zip(ends, ends[1:]))
+
+
+def _parse_lines(text: str) -> np.ndarray:
+    """The records of ``text``, line by line; raises at the first bad line."""
     flat = array("d")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -60,15 +126,14 @@ def parse_multiplex_edges(text: str) -> EdgeListDocument:
             raise ParseError(f"bad weight in {line!r}", lineno) from None
         if layer < 1 or a < 1 or b < 1:
             raise ValidationError(f"line {lineno}: indices must be positive (1-based)")
+        if max(layer, a, b) > MAX_INDEX:
+            raise ValidationError(f"line {lineno}: indices must be at most 2**53")
         if not math.isfinite(w):
             raise ValidationError(f"line {lineno}: weight must be finite")
         if w <= 0:
             raise ValidationError(f"line {lineno}: weight must be positive")
         flat.extend((layer, a, b, w))
-    records = np.frombuffer(flat, dtype=float).reshape(-1, 4)
-    top = records.max(axis=0, initial=0.0)
-    return EdgeListDocument(records=records, inferred_n=int(max(top[1], top[2])),
-                            inferred_L=int(top[0]))
+    return np.frombuffer(flat, dtype=float).reshape(-1, 4)
 
 
 def to_network(doc: EdgeListDocument, n: int | None = None, L: int | None = None,
@@ -162,19 +227,18 @@ def write_scores(scores, ranking: Ranking | None = None, fmt: str = "csv",
     s = np.asarray(scores, dtype=float)
     if ranking is None:
         ranking = rank(s)
-    pos = ranking.positions()
+    index = range(1, len(s) + 1)
     if labels is None:
-        labels = [str(i + 1) for i in range(len(s))]
-    rows = [
-        {"index": i + 1, "label": str(labels[i]), "score": float(s[i]),
-         "rank": int(pos[i]) + 1}
-        for i in range(len(s))
-    ]
+        labels = index
+    places = (ranking.positions() + 1).tolist()
     if fmt == "csv":
         lines = ["index,label,score,rank"]
-        lines += [f"{r['index']},{r['label']},{r['score']!r},{r['rank']}" for r in rows]
+        lines += [f"{i},{label},{x!r},{p}"
+                  for i, label, x, p in zip(index, labels, s.tolist(), places)]
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        rows = [{"index": i, "label": str(label), "score": x, "rank": p}
+                for i, label, x, p in zip(index, labels, s.tolist(), places)]
         doc = {"scores": rows,
                "report": report_to_dict(report) if report is not None else None}
         return json.dumps(doc, indent=2) + "\n"

@@ -351,6 +351,15 @@ class TestExitCodes:
         assert res.stderr.startswith("error:") and "byte offset 6" in res.stderr
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("index", ["9" * 20, "9" * 400], ids=["20-digits", "400-digits"])
+    def test_index_too_large_exit_2(self, runner, tmp_path, index):
+        p = tmp_path / "huge.edges"
+        p.write_text(f"1 1 {index}\n")
+        res = runner.invoke(main, ["info", str(p)])
+        assert res.exit_code == 2
+        assert res.stderr == "error: line 1: indices must be at most 2**53\n"
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("measure", ["agg_deg", "local_het", "global_het"])
     def test_omega_for_unweighted_measure_exit_2(self, runner, explanatory_file, tmp_path,
                                                  measure):

@@ -1,9 +1,10 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multicent import (
@@ -19,6 +20,7 @@ from multicent import (
     write_multiplex_edges,
     write_scores,
 )
+from multicent import io as mio
 from multicent.io import SYMMETRIZE_POLICIES
 
 from conftest import make_explanatory, random_sparse_multiplex
@@ -208,6 +210,103 @@ class TestLoaderMatchesReference:
                 np.testing.assert_array_equal(A.indptr, B.indptr)
                 np.testing.assert_array_equal(A.indices, B.indices)
                 assert A.data.tobytes() == B.data.tobytes()
+
+
+# -- the vectorized parser against the line loop
+
+# Index and weight tokens the two parsers might read differently: numpy's
+# loadtxt accepts some that int()/float() reject and the reverse, strips a
+# trailing "# c", and rounds "-0" and "1e-400" to zeros.
+_INDEX_TOKENS = ("1", "2", "3", "+1", "01", "-0", "0", "-1", "1.0", "1e0", "1_0", "0x1", ".5",
+                 "٣", str(2**53), str(2**53 + 1), str(2**63), "99999999999999999999")
+_WEIGHT_TOKENS = ("1", "2.5", "+1", "01", ".5", "5.", "1E5", "1e-5", "1e", "1_0.5", "0x1",
+                  "-0", "0", "-1", "1e-400", "1e400", "nan", "inf", "-inf", "١.5")
+_INLINE = ("\t", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+_LINE_ENDS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ")
+_PROBED = ("1 1\x0b2 1\n", "1 1\x0c2 1\n", "1 1 2 1 # c\n", "1 1 2 -0\n", "1 1 2 1e-400\n",
+           "1.0 1 2\n", "1e0 1 2\n", "1_0 1 2\n", "1 1 2 1_0.5\n", "1 1 2 0x1\n", "1 1 2 1e\n",
+           "1 1 2\r1 1 3\n", f"1 1 {2**63}\n", "1 1 2\n1 1 2 1\n", "", "\n \n")
+
+
+@st.composite
+def _numeric_text(draw):
+    """Edge-list text of plain numbers; in half of the texts, a few odd tokens,
+    separators, line ends and line kinds are mixed in: blank, comment and
+    whitespace lines, leading and trailing whitespace, trailing comments,
+    wrong field counts and mixed 3/4-field records."""
+    mixed = draw(st.booleans())
+
+    def palette(plain, odd):
+        extra = st.lists(st.sampled_from(odd), max_size=2, unique=True) if mixed else st.just([])
+        return st.sampled_from(plain + tuple(draw(extra)))
+    index = palette(("1", "2", "3", "4"), _INDEX_TOKENS)
+    weight = palette(("1", "0.5", "2.5"), _WEIGHT_TOKENS)
+    sep = palette((" ",), _INLINE)
+    end = palette(("\n",), _LINE_ENDS)
+    pad = palette(("",), (" ", "\t"))
+    tail = palette(("",), (" # c",))
+    fields = draw(st.sampled_from((3, 4)))
+    kind = palette(("record",) * 4, ("blank", "comment", "space", "3", "4", "2", "5"))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(kind)
+        if k == "blank":
+            lines.append("")
+        elif k == "comment":
+            lines.append(draw(st.sampled_from(["# note", "#1 1 2", " # x"])))
+        elif k == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        else:
+            count = fields if k == "record" else int(k)
+            tokens = [draw(index) for _ in range(min(count, 3))] + \
+                [draw(weight) for _ in range(count - 3)]
+            line = tokens[0] + "".join(draw(sep) + t for t in tokens[1:])
+            lines.append(draw(pad) + line + draw(tail) + draw(pad))
+    return "".join(line + draw(end) for line in lines) + draw(st.sampled_from(("", " ", "1")))
+
+
+def _with_examples(texts):
+    def decorate(test):
+        for text in texts:
+            test = example(text=text)(test)
+        return test
+    return decorate
+
+
+def _parse_outcome(text):
+    try:
+        doc = parse_multiplex_edges(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return doc.records.dtype, doc.records.shape, doc.records.tobytes(), \
+        doc.inferred_n, doc.inferred_L
+
+
+class TestVectorizedParseMatchesLineLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(text=_numeric_text())
+    @_with_examples(_PROBED)
+    def test_same_records_or_same_error(self, text):
+        got = _parse_outcome(text)
+        with mock.patch.object(mio, "_parse_numeric", return_value=None):
+            want = _parse_outcome(text)
+        assert got == want
+
+    def test_generated_text_takes_the_vectorized_path(self):
+        text = write_multiplex_edges(random_sparse_multiplex(np.random.default_rng(3), 60, 4))
+        want = mio._parse_lines(text)
+        with mock.patch.object(mio, "_parse_lines", side_effect=AssertionError("line loop ran")):
+            got = parse_multiplex_edges(text)
+            crlf = parse_multiplex_edges(text.replace("\n", "\r\n"))
+        assert got.records.tobytes() == want.tobytes() == crlf.records.tobytes()
+        assert (got.inferred_n, got.inferred_L) == (crlf.inferred_n, crlf.inferred_L) == (60, 4)
+
+    def test_index_above_2_pow_53_rejected_with_line_number(self):
+        doc = parse_multiplex_edges(f"1 1 {2**53}\n")
+        assert doc.inferred_n == 2**53
+        for big in (2**53 + 1, 10**20, 10**400):
+            with pytest.raises(ValidationError, match=r"^line 2: indices must be at most 2\*\*53$"):
+                parse_multiplex_edges(f"1 1 2\n1 1 {big}\n")
 
 
 class TestRoundTrip:

@@ -1,8 +1,12 @@
-"""Smoke tests of the experiment scripts: each runs to the end and writes its files."""
+"""Smoke tests of the experiment scripts: each runs to the end and writes its files,
+and rejected input ends in exit code 2 with one ``error:`` line."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -41,3 +45,25 @@ def test_exponent_sweep_writes_position_tables(monkeypatch, tmp_path, capsys):
     assert node[0] == layer[0] == "index,2.1,3.0"
     assert len(node) == 1 + 5 and len(layer) == 1 + 2
 
+
+
+@pytest.mark.parametrize("name", ["run_exponent_sweep", "run_measure_comparison"])
+def test_input_error_exits_2_without_traceback(tmp_path, name):
+    edges = tmp_path / "latin1.edges"
+    edges.write_bytes(b"1 1 2 \xff\n")
+    missing = tmp_path / "missing.edges"
+    for path, message in ((edges, "not UTF-8 text: invalid start byte at byte offset 6"),
+                          (missing, f"cannot read {missing}: No such file or directory")):
+        res = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), str(path)],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stderr == f"error: {message}\n"
+
+
+def test_malformed_alphas_exit_2(tmp_path):
+    edges = tmp_path / "small.edges"
+    edges.write_text("1 1 2\n")
+    res = subprocess.run([sys.executable, str(SCRIPTS / "run_exponent_sweep.py"), str(edges),
+                          "--alphas", "2.1,x"], capture_output=True, text=True)
+    assert res.returncode == 2
+    assert "invalid float_list value: '2.1,x'" in res.stderr and "Traceback" not in res.stderr
