@@ -113,7 +113,13 @@ def _load_network(path, nodes, layers, symmetrize):
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
-    return to_network(parse_multiplex_edges(text), n=nodes, L=layers, symmetrize=symmetrize)
+    doc = parse_multiplex_edges(text)
+    del text
+    try:
+        return to_network(doc, n=nodes, L=layers, symmetrize=symmetrize)
+    except MemoryError:
+        raise InputError(f"cannot allocate a network of {nodes or doc.inferred_n} nodes "
+                         f"and {layers or doc.inferred_L} layers") from None
 
 
 def _emit(output_dir, filename, text):

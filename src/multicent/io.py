@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .network import MultiplexNetwork, build_network
+from .network import MultiplexNetwork, build_network, group_pairs
 from .ranking import Ranking, rank
 from .solver import ConvergenceReport
 
@@ -167,32 +167,29 @@ def to_network(doc: EdgeListDocument, n: int | None = None, L: int | None = None
         raise ValidationError("cannot infer network size from an empty document; "
                               "pass explicit node and layer counts")
 
-    layer, a, b, w = doc.records.T
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # group the records by (layer, lo, hi); a listed direction that is not
-    # low-to-high sums into w_ba, and an unlisted one stays 0
-    order = np.lexsort((hi, lo, layer))
-    keys = np.stack((layer, lo, hi), axis=1)[order]
-    first_of_pair = np.diff(keys, axis=0, prepend=0.0).any(axis=1)  # indices are >= 1
-    pairs = keys[first_of_pair]
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first_of_pair) - 1
-    forward = a <= b
-    w_ab = np.bincount(group, np.where(forward, w, 0.0), minlength=len(pairs))
-    w_ba = np.bincount(group, np.where(forward, 0.0, w), minlength=len(pairs))
+    layer, a, b = doc.records[:, :3].astype(np.int64).T
+    pairs, group = group_pairs(n_final, L_final, layer, np.minimum(a, b), np.maximum(a, b))
+    # a listed direction that is not low-to-high sums into w_ba, and an
+    # unlisted one stays 0
+    w, forward = doc.records[:, 3], a <= b
+    del layer, a, b
+    w_ab = np.bincount(group, np.where(forward, w, 0.0), minlength=len(pairs[0]))
+    w_ba = np.bincount(group, np.where(forward, 0.0, w), minlength=len(pairs[0]))
 
     clash = np.flatnonzero((w_ab != w_ba) & (w_ab > 0) & (w_ba > 0))
     if len(clash) and symmetrize != "max":
         listed = np.flatnonzero(forward & np.isin(group, clash))
         _, first = np.unique(group[listed], return_index=True)
         for g in clash[np.argsort(listed[first])]:
-            l, i, j = (int(v) for v in pairs[g])
+            l, i, j = (int(col[g]) for col in pairs)
             both = f"{w_ab[g].item()} vs {w_ba[g].item()}"
             if symmetrize == "error":
                 raise ValidationError(f"asymmetric weights for nodes {i},{j} on layer {l}: {both}")
             warnings.warn(f"unequal weights for nodes {i},{j} on layer {l} ({both}); "
                           "keeping the maximum", RuntimeWarning, stacklevel=2)
-    edges = np.column_stack((pairs, np.maximum(w_ab, w_ba)))
+    del group, forward  # free the per-record arrays before the layers are built
+    edges = np.column_stack((*pairs, np.maximum(w_ab, w_ba)))
+    del pairs, w_ab, w_ba
     return build_network(n_final, L_final, edges,
                          node_labels=node_labels, layer_labels=layer_labels)
 

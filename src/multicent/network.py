@@ -33,14 +33,16 @@ def _as_layer_matrix(mat, n: int, which: int) -> sp.csr_array:
     A = sp.csr_array(mat)
     if A.shape != (n, n):
         raise DimensionError(f"layer {which}: expected shape ({n}, {n}), got {A.shape}")
+    A.sum_duplicates()
     if A.nnz and not np.all(np.isfinite(A.data)):
         raise ValidationError(f"layer {which}: non-finite weight")
     if A.nnz and np.any(A.data < 0):
         raise ValidationError(f"layer {which}: negative weight")
-    if (A != A.T).nnz != 0:
-        raise ValidationError(f"layer {which}: matrix is not exactly symmetric")
     A.eliminate_zeros()
-    A.sort_indices()
+    T = A.T.tocsr()  # canonical too, so equal arrays mean equal matrices
+    if not all(np.array_equal(getattr(A, k), getattr(T, k))
+               for k in ("indptr", "indices", "data")):
+        raise ValidationError(f"layer {which}: matrix is not exactly symmetric")
     return A
 
 
@@ -148,12 +150,35 @@ class ConnectivityDiagnostics:
     empty_layers: tuple
 
 
-def _layer_matrix(n: int, i, j, w) -> sp.csr_array:
-    """One layer's CSR with each record at (i, j) and, off the diagonal, at
-    (j, i); entries go in record by record, so repeats sum in that order."""
-    keep = np.stack((np.ones(len(i), dtype=bool), i != j), axis=1).reshape(-1)
-    coords = np.stack((i, j, j, i), axis=1).reshape(-1, 2)[keep].T
-    return sp.coo_array((np.repeat(w, 2)[keep], coords), shape=(n, n)).tocsr()
+def group_pairs(n: int, L: int, layer, lo, hi):
+    """The distinct 1-based int64 ``(layer, lo, hi)`` keys as three sorted
+    columns, and each record's group id: its row in them. One int64 key is
+    sorted while L*n**2 fits, else the rows of the three columns."""
+    if int(L) * int(n) ** 2 < 2**63:
+        keys, group = np.unique(((layer - 1) * n + lo - 1) * n + hi - 1, return_inverse=True)
+        return (keys // n**2 + 1, keys // n % n + 1, keys % n + 1), group
+    pairs, group = np.unique(np.stack((layer, lo, hi), axis=1), axis=0, return_inverse=True)
+    return tuple(pairs.T), group.reshape(-1)
+
+
+def _layer_matrix(n: int, lo, hi, w) -> sp.csr_array:
+    """One layer's CSR from its distinct 0-based pairs lo <= hi, sorted by
+    (lo, hi): each pair at (lo, hi) and, off the diagonal, at (hi, lo)."""
+    off = np.flatnonzero(lo != hi)
+    off = off[np.argsort(hi[off], kind="stable")]  # mirrored entries by (row, column)
+    lo_m, hi_m = lo[off], hi[off]
+    nnz = len(lo) + len(off)
+    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(np.concatenate((lo, hi_m)), minlength=n), out=indptr[1:])
+    # a row holds its mirrored entries (columns below the row) first, its upper
+    # ones last: each is placed by rank among its kind from the row's start or end
+    down = indptr[hi_m] + np.arange(len(off)) - np.searchsorted(hi_m, hi_m)
+    up = indptr[lo + 1] + np.arange(len(lo)) - np.searchsorted(lo, lo, side="right")
+    indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
+    indices[down], data[down] = lo_m, w[off]
+    indices[up], data[up] = hi, w
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def build_network(n: int, L: int, edges, node_labels=None,
@@ -163,7 +188,7 @@ def build_network(n: int, L: int, edges, node_labels=None,
     ``edges`` is an (m, 4) array or a sequence of ``(layer, i, j, weight)``
     records with integer ``1 <= layer <= L`` and ``1 <= i, j <= n``. Each
     record inserts both (i, j) and (j, i); repeated records for the same
-    layer and pair accumulate by summation. Self-loops are kept.
+    layer and pair accumulate by summation, in record order. Self-loops are kept.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"node count must be a positive integer, got {n!r}")
@@ -192,10 +217,14 @@ def build_network(n: int, L: int, edges, node_labels=None,
         entry = records[row].tolist() if isinstance(records, np.ndarray) else records[row]
         raise ValidationError(f"edge {entry!r}: {problem}")
 
-    l0, i0, j0 = (E[:, :3].astype(np.intp) - 1).T
-    by_layer = np.argsort(l0, kind="stable")  # record order kept within a layer
-    layers = [_layer_matrix(n, i0[rec], j0[rec], w[rec])
-              for rec in np.split(by_layer, np.searchsorted(l0[by_layer], np.arange(1, L)))]
+    del failed, checks  # free the per-record arrays before the layers are built
+    layer, i, j = E[:, :3].astype(np.int64).T
+    (layer, lo, hi), group = group_pairs(n, L, layer, np.minimum(i, j), np.maximum(i, j))
+    w = np.bincount(group, w, minlength=len(layer))  # repeats sum in record order
+    del E, i, j, group
+    bounds = np.searchsorted(layer, np.arange(1, L + 2))
+    layers = [_layer_matrix(n, lo[a:b] - 1, hi[a:b] - 1, w[a:b])
+              for a, b in zip(bounds[:-1], bounds[1:])]
     return MultiplexNetwork(n=n, L=L, layers=layers,
                             node_labels=node_labels, layer_labels=layer_labels)
 

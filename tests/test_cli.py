@@ -360,6 +360,17 @@ class TestExitCodes:
         assert res.stderr == "error: line 1: indices must be at most 2**53\n"
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("line, n, L", [("1 1 1000000000000000", 10**15, 1),
+                                            ("1000000000000000 1 2", 2, 10**15)],
+                             ids=["nodes", "layers"])
+    def test_network_too_large_to_allocate_exit_2(self, runner, tmp_path, line, n, L):
+        p = tmp_path / "huge.edges"
+        p.write_text(line + "\n")
+        res = runner.invoke(main, ["info", str(p)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: cannot allocate a network of {n} nodes and {L} layers\n"
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("measure", ["agg_deg", "local_het", "global_het"])
     def test_omega_for_unweighted_measure_exit_2(self, runner, explanatory_file, tmp_path,
                                                  measure):

@@ -146,6 +146,11 @@ class TestToNetwork:
         net = to_network(parse_multiplex_edges("1 1 2 1\n1 1 2 2\n"))
         assert net.layers[0].toarray()[0, 1] == 3.0
 
+    def test_loaded_layers_have_int32_indices(self):
+        net = to_network(parse_multiplex_edges("1 1 2 1\n2 3 3 2\n"), L=3)
+        for A in net.layers:
+            assert A.indptr.dtype == A.indices.dtype == np.int32
+
     def test_self_loops_kept(self):
         net = to_network(parse_multiplex_edges("1 2 2 4\n"))
         assert net.layers[0].toarray()[1, 1] == 4.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from multicent import (
     permute,
     supra_adjacency,
 )
+from multicent.network import group_pairs
 
 from conftest import random_sparse_multiplex
 from oracles import perron_dense
@@ -43,6 +45,14 @@ class TestBuildNetwork:
         A = net.layers[0].toarray()
         assert A[0, 1] == 5.0
         assert A[1, 0] == 5.0
+
+    @pytest.mark.parametrize("weights, total", [((1.0, 1.0, 1e16), 1.0000000000000002e16),
+                                                ((1e16, 1.0, 1.0), 1e16)])
+    def test_repeats_sum_in_record_order(self, weights, total):
+        net = build_network(2, 1, [(1, 1, 2, weights[0]), (1, 2, 1, weights[1]),
+                                   (1, 1, 2, weights[2])])
+        A = net.layers[0].toarray()
+        assert A[0, 1] == A[1, 0] == total
 
     def test_self_loop_kept_once(self):
         net = build_network(2, 1, [(1, 1, 1, 2.0)])
@@ -83,6 +93,13 @@ class TestBuildNetwork:
         with pytest.raises(ValidationError):
             MultiplexNetwork(n=2, L=1, layers=[A])
 
+    def test_direct_construction_checks_summed_entries(self):
+        # two finite entries at one cell that sum to inf
+        A = sp.csr_array((np.full(4, 1e308), np.array([1, 1, 0, 0]), np.array([0, 2, 4])),
+                         shape=(2, 2))
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            MultiplexNetwork(n=2, L=1, layers=[A])
+
     def test_label_length_checked(self):
         with pytest.raises(DimensionError):
             build_network(2, 1, [], node_labels=["a"])
@@ -92,6 +109,66 @@ class TestBuildNetwork:
         net = random_sparse_multiplex(rng, 12, 3)
         for A in net.layers:
             assert (A != A.T).nnz == 0
+
+
+# 3037000499**2 < 2**63 <= 2 * 3037000499**2: with L = 1 the int64 key still
+# fits, with L = 2 it would wrap; n = 2**32 always takes the three-column sort.
+_KEY_EDGE_N = 3_037_000_499
+
+
+class TestGroupPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_key_sort_and_column_fallback_agree(self, data):
+        n, L = data.draw(st.sampled_from([(6, 3), (_KEY_EDGE_N, 1), (_KEY_EDGE_N, 2)]))
+        node = st.sampled_from(sorted({1, 2, n - 1, n}))
+        records = data.draw(st.lists(st.tuples(st.integers(1, L), node, node), max_size=30))
+        layer, a, b = np.array(records, dtype=np.int64).reshape(-1, 3).T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = list(zip(layer.tolist(), lo.tolist(), hi.tolist()))
+        want = sorted(set(keys))
+        by_key = group_pairs(n, L, layer, lo, hi)
+        by_columns = group_pairs(2**32, L, layer, lo, hi)  # L * n**2 >= 2**63
+        for pairs, group in (by_key, by_columns):
+            assert list(zip(*(col.tolist() for col in pairs))) == want
+            assert [want[g] for g in group] == keys
+        np.testing.assert_array_equal(by_key[1], by_columns[1])
+
+
+@st.composite
+def _raw_layer(draw):
+    """A non-canonical CSR layer: unsorted and repeated columns, explicit
+    zeros and -0.0; in half of the draws every entry is mirrored, sometimes
+    split into two halves, so the summed matrix is symmetric."""
+    n = draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0)))
+    entries = draw(st.lists(cell, max_size=8))
+    if draw(st.booleans()):
+        for i, j, v in list(entries):
+            entries += [(j, i, v / 2)] * 2 if draw(st.booleans()) else [(j, i, v)]
+    entries = sorted(draw(st.permutations(entries)), key=lambda e: e[0])  # columns unsorted
+    rows = np.array([i for i, _, _ in entries], dtype=int)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return sp.csr_array((np.array([v for _, _, v in entries], dtype=float),
+                         np.array([j for _, j, _ in entries], dtype=int), indptr), shape=(n, n))
+
+
+class TestSymmetryCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(A=_raw_layer())
+    def test_matches_sparse_inequality_reference(self, A):
+        want = None if (A.copy() != A.copy().T).nnz == 0 else \
+            "layer 1: matrix is not exactly symmetric"
+        dense = A.toarray()
+        try:
+            stored = MultiplexNetwork(n=A.shape[0], L=1, layers=[A]).layers[0]
+        except ValidationError as exc:
+            assert str(exc) == want
+            return
+        assert want is None
+        assert stored.has_canonical_format and not np.any(stored.data == 0)
+        np.testing.assert_array_equal(stored.toarray(), dense)
 
 
 class TestAggregate:
