@@ -3,10 +3,11 @@
 Every measure here reduces node scoring to the Perron vector of some
 non-negative matrix assembled from the layers: per-layer adjacency
 matrices, the aggregate, influence-weighted layer mixtures, the
-influence-weighted block matrix, or the supra-adjacency matrix. They share
-one plain power-method routine (uniform start, 1-norm normalization, no
-shifts or deflation) and a common failure mode: on reducible matrices the
-dominant eigenvector is not unique, so the score depends on the start.
+influence-weighted block matrix, or the supra-adjacency matrix (these two
+are applied as operators, never built). They share one plain power-method
+routine (uniform start, 1-norm normalization, no shifts or deflation) and
+a common failure mode: on reducible matrices the dominant eigenvector is
+not unique, so the score depends on the start.
 That situation is detected and reported as ``degenerate_warning`` instead
 of raising, because these measures are routinely computed on disconnected
 data anyway; consumers decide how much to trust a flagged score.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import DimensionError, ValidationError
 from .network import (
@@ -27,8 +29,9 @@ from .network import (
     _check_omega,
     _weighted_layer_sum,
     aggregate_matrix,
+    connectivity,
     khatri_rao_influence,
-    supra_adjacency,
+    supra_adjacency,  # noqa: F401  the built matrix the supra operator applies
 )
 
 PERRON_TOL = 1e-10
@@ -75,14 +78,9 @@ class ScoreResult:
     degenerate_warning: bool
 
 
-def matrix_perron(M, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
-                  plateau_window: int = PLATEAU_WINDOW) -> PerronResult:
-    """Power iteration for the Perron pair of a non-negative square matrix.
-
-    Starts from the uniform positive vector, renormalizes in the 1-norm
-    each step, and stops once the eigen-residual ||Mv - value*v||_inf falls
-    below ``tol * value``. The value estimate is the Rayleigh quotient.
-    """
+def _checked_matrix(M) -> tuple[sp.csr_array, bool]:
+    """``M`` validated as a CSR copy without stored zeros, and whether its
+    graph is not strongly connected (its Perron vector is then not unique)."""
     M = sp.csr_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {M.shape}")
@@ -97,7 +95,23 @@ def matrix_perron(M, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
         raise ValidationError("matrix is identically zero")
 
     ncomp, _ = connected_components(M, directed=True, connection="strong")
-    degenerate = bool(ncomp > 1)
+    return M, bool(ncomp > 1)
+
+
+def matrix_perron(M, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
+                  plateau_window: int = PLATEAU_WINDOW) -> PerronResult:
+    """Power iteration for the Perron pair of a non-negative square matrix.
+
+    Starts from the uniform positive vector, renormalizes in the 1-norm
+    each step, and stops once the eigen-residual ||Mv - value*v||_inf falls
+    below ``tol * value``. The value estimate is the Rayleigh quotient.
+
+    A ``LinearOperator`` is applied unchecked; its flag then reports only the
+    plateau and nilpotent cases, and the caller adds the structural one.
+    """
+    degenerate = False
+    if not isinstance(M, LinearOperator):
+        M, degenerate = _checked_matrix(M)
 
     n = M.shape[0]
     v = np.full(n, 1.0 / n)
@@ -133,23 +147,36 @@ def matrix_perron(M, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
 def layer_eigenvectors(net: MultiplexNetwork, tol: float = PERRON_TOL,
                        max_iter: int = PERRON_MAX_ITER) -> CentralityMatrix:
     """Column l = Perron vector of layer l alone; empty layers give zero columns."""
-    return _perron_columns(net, net.layers, "layer_eigenvectors", tol, max_iter)
+    return _perron_columns(net, net.layers, range(net.L), "layer_eigenvectors", tol, max_iter)
 
 
-def _perron_columns(net, matrices, measure_name, tol, max_iter) -> CentralityMatrix:
-    """Column l = Perron vector of the l-th of the L matrices; an empty one
-    gives a zero column flagged degenerate."""
-    cols = np.zeros((net.n, net.L))
-    flags = []
-    for l, A in enumerate(matrices):
-        if A.nnz == 0:
-            flags.append(True)
-            continue
-        pr = matrix_perron(A, tol=tol, max_iter=max_iter)
-        cols[:, l] = pr.vector
-        flags.append(pr.degenerate_warning or not pr.converged)
-    return CentralityMatrix(matrix=cols, measure_name=measure_name,
-                            column_degenerate=tuple(flags))
+def _perron_columns(net, matrices, which, measure_name, tol, max_iter) -> CentralityMatrix:
+    """Column l = Perron vector of matrix ``which[l]``; an empty one gives zeros, flagged."""
+    cols, flags = [], []
+    for A in matrices:
+        pr = matrix_perron(A, tol=tol, max_iter=max_iter) if A.nnz else None
+        cols.append(np.zeros(net.n) if pr is None else pr.vector)
+        flags.append(pr is None or pr.degenerate_warning or not pr.converged)
+    return CentralityMatrix(matrix=np.column_stack([cols[r] for r in which]),
+                            measure_name=measure_name,
+                            column_degenerate=tuple(flags[r] for r in which))
+
+
+def _supra_operator(net: MultiplexNetwork) -> LinearOperator:
+    """x -> ``supra_adjacency(net) @ x``, as y_l = A_l x_l + sum_k x_k - x_l."""
+    B = sp.block_diag(net.layers, format="csr")
+
+    def matvec(x):
+        X, P = x.reshape(net.L, net.n), (B @ x).reshape(net.L, net.n)
+        return (P + (X.sum(axis=0) - X)).ravel()
+    return LinearOperator(B.shape, matvec=matvec, dtype=float)
+
+
+def _influence_operator(net: MultiplexNetwork, W: InfluenceMatrix) -> LinearOperator:
+    """x -> ``khatri_rao_influence(net, W) @ x``, as W @ [A_k x_k]_k."""
+    B = sp.block_diag(net.layers, format="csr")
+    return LinearOperator(B.shape, dtype=float,
+                          matvec=lambda x: (W.W @ (B @ x).reshape(net.L, net.n)).ravel())
 
 
 def _normalized(v: np.ndarray) -> np.ndarray:
@@ -184,27 +211,31 @@ def local_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
     """Column l = Perron vector of the influence mixture sum_k W[l,k] A_k.
 
     W = I reproduces the per-layer eigenvectors; W = all-ones makes every
-    column the aggregate eigenvector.
+    column the aggregate eigenvector. Equal rows share one solve.
     """
     if W.L != net.L:
         raise DimensionError(f"influence matrix side {W.L} does not match layer count {net.L}")
     if np.any(W.W.sum(axis=1) == 0):
         raise ValidationError("influence matrix has a zero row (empty layer mixture)")
-    mixtures = (_weighted_layer_sum(net, W.W[l]) for l in range(net.L))
-    return _perron_columns(net, mixtures, "local_het", tol, max_iter)
+    rows, which = np.unique(W.W, axis=0, return_inverse=True)
+    mixtures = (_weighted_layer_sum(net, r) for r in rows)
+    return _perron_columns(net, mixtures, which.ravel(), "local_het", tol, max_iter)
 
 
 def global_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
                                     tol: float = PERRON_TOL,
                                     max_iter: int = PERRON_MAX_ITER) -> CentralityMatrix:
-    """Perron vector of the influence block matrix, reshaped to one column per layer."""
+    """Perron vector of the influence block matrix, reshaped to one column per layer.
+
+    The matrix is applied as ``W @ [A_k v_k]_k``; it is built only to check it.
+    """
     K = khatri_rao_influence(net, W)
     if K.nnz == 0:
         raise ValidationError("influence block matrix is identically zero")
-    pr = matrix_perron(K, tol=tol, max_iter=max_iter)
-    F = pr.vector.reshape((net.L, net.n)).T
-    cols = np.column_stack([_normalized(f) for f in F.T])
-    flag = pr.degenerate_warning or not pr.converged
+    reducible = _checked_matrix(K)[1]
+    pr = matrix_perron(_influence_operator(net, W), tol=tol, max_iter=max_iter)
+    cols = np.column_stack([_normalized(f) for f in pr.vector.reshape(net.L, net.n)])
+    flag = pr.degenerate_warning or reducible or not pr.converged
     return CentralityMatrix(matrix=cols, measure_name="global_het",
                             column_degenerate=(flag,) * net.L)
 
@@ -214,17 +245,20 @@ def versatility_centrality(net: MultiplexNetwork, omega=None,
                            max_iter: int = PERRON_MAX_ITER) -> ScoreResult:
     """Node scores from the Perron vector of the supra-adjacency matrix.
 
-    The nL-vector is reshaped to one column per layer and aggregated with
-    the weights ``omega`` (default all ones). Unique exactly when the
-    aggregate graph is connected, which coincides with the supra-adjacency
-    matrix being irreducible; otherwise the result is start-dependent and
-    flagged.
+    Applied as ``y_l = A_l v_l + sum_k v_k - v_l``, never built; the
+    nL-vector is reshaped to one column per layer and aggregated with the
+    weights ``omega`` (default all ones). Unique exactly when the aggregate
+    graph is connected, which coincides with the supra-adjacency matrix
+    being irreducible; otherwise the result is start-dependent and flagged.
     """
     w = _check_omega(omega, net.L)
-    pr = matrix_perron(supra_adjacency(net), tol=tol, max_iter=max_iter)
-    F = pr.vector.reshape((net.L, net.n)).T
+    if net.L == 1 and net.layers[0].nnz == 0:
+        raise ValidationError("matrix is identically zero")
+    pr = matrix_perron(_supra_operator(net), tol=tol, max_iter=max_iter)
+    F = pr.vector.reshape(net.L, net.n).T
+    reducible = not connectivity(net).aggregate_connected
     return ScoreResult(measure_name="eig_ver", scores=_normalized(F @ w),
-                       degenerate_warning=pr.degenerate_warning or not pr.converged)
+                       degenerate_warning=pr.degenerate_warning or reducible or not pr.converged)
 
 
 def aggregate_degree_centrality(net: MultiplexNetwork) -> ScoreResult:

@@ -3,16 +3,17 @@
 A multiplex is a collection of L undirected graphs (the layers) sharing one
 set of n nodes, with every node implicitly identified with its copies on the
 other layers. Layers are stored as sparse symmetric non-negative matrices;
-the structural constructions every centrality routine consumes (aggregate
-matrix, supra-adjacency matrix, influence-weighted block matrix) are built
-from them here.
+the structural constructions (aggregate matrix, and the supra-adjacency and
+influence-weighted block matrices that the baselines apply as operators)
+are built from them here.
 
 External interfaces (edge records, permutations) use 1-based node and layer
 indices, matching the common edge-list file convention. Everything stored on
 a :class:`MultiplexNetwork` is 0-based.
 
-Networks are immutable after construction: build one, then share it freely
-across threads.
+Networks are never modified after construction: build one, then share it
+freely across threads. A canonical CSR layer passed in is stored as given,
+sharing the caller's arrays, so the caller must not write to it afterwards.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ def _as_layer_matrix(mat, n: int, which: int) -> sp.csr_array:
     A = sp.csr_array(mat)
     if A.shape != (n, n):
         raise DimensionError(f"layer {which}: expected shape ({n}, {n}), got {A.shape}")
+    if not (A.has_canonical_format and np.all(A.data)):
+        A = A.copy()  # mend a copy, never the caller's arrays
     A.sum_duplicates()
     if A.nnz and not np.all(np.isfinite(A.data)):
         raise ValidationError(f"layer {which}: non-finite weight")
@@ -52,7 +55,8 @@ class MultiplexNetwork:
 
     ``layers[l]`` is the n-by-n sparse symmetric adjacency matrix of layer
     l (0-based). Weights are finite and strictly positive; structural zeros
-    are never stored. Optional label lists must have lengths n and L.
+    are never stored. Optional label lists must have lengths n and L. A
+    canonical CSR layer passed in is stored as given, sharing its arrays.
     """
 
     n: int
@@ -281,12 +285,11 @@ def khatri_rao_influence(net: MultiplexNetwork, W: InfluenceMatrix) -> sp.csr_ar
     """
     if W.L != net.L:
         raise DimensionError(f"influence matrix side {W.L} does not match layer count {net.L}")
-    blocks = [[(W.W[l, k] * net.layers[k]) if W.W[l, k] != 0 else None
+    # an empty diagonal block where W[l, l] = 0 sizes block row and column l
+    blocks = [[W.W[l, k] * net.layers[k] if W.W[l, k] != 0
+               else (sp.csr_array((net.n, net.n)) if l == k else None)
                for k in range(net.L)]
               for l in range(net.L)]
-    if all(b is None for row in blocks for b in row):
-        size = net.n * net.L
-        return sp.csr_array((size, size))
     return sp.csr_array(sp.block_array(blocks, format="csr"))
 
 

@@ -2,13 +2,15 @@
 
 Everything here works with explicit loops, dense tensors or einsum and
 never touches the package's code paths, so agreement between the two
-routes is meaningful.
+routes is meaningful. The two exceptions are the matrix baselines at the
+end, which run the package's power method on the built supra-adjacency and
+influence block matrices, as a reference for the operators that replace them.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from multicent import ValidationError
+from multicent import ValidationError, khatri_rao_influence, matrix_perron, supra_adjacency
 
 
 def dense_tensor(net):
@@ -151,3 +153,20 @@ def load_edges_loop(text, n=None, L=None, symmetrize="mirror"):
     layers = [sp.coo_array((vals[l], (rows[l], cols[l])), shape=(n, n)).tocsr()
               for l in range(L)]
     return layers, messages
+
+
+def versatility_on_matrix(net, **perron):
+    """Versatility (all-ones layer weights) and its flag from the Perron
+    vector of the built supra-adjacency matrix."""
+    pr = matrix_perron(supra_adjacency(net), **perron)
+    scores = pr.vector.reshape(net.L, net.n).sum(axis=0)
+    return scores / scores.sum(), pr.degenerate_warning or not pr.converged
+
+
+def global_het_on_matrix(net, W, **perron):
+    """Global heterogeneous columns and their flag from the Perron vector of
+    the built influence block matrix."""
+    pr = matrix_perron(khatri_rao_influence(net, W), **perron)
+    F = pr.vector.reshape(net.L, net.n).T
+    sums = F.sum(axis=0)
+    return F / np.where(sums > 0, sums, 1.0), pr.degenerate_warning or not pr.converged

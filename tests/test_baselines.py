@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+import multicent.baselines
 from multicent import (
     DimensionError,
     InfluenceMatrix,
@@ -9,18 +13,23 @@ from multicent import (
     aggregate_eigenvector_centrality,
     aggregate_matrix,
     build_network,
+    connectivity,
     global_heterogeneous_centrality,
+    khatri_rao_influence,
     layer_eigenvectors,
     layerwise_eigenvector_centrality,
     local_heterogeneous_centrality,
     matrix_perron,
     permute,
+    rank,
     supra_adjacency,
     versatility_centrality,
 )
+from multicent.baselines import PerronResult, _influence_operator, _supra_operator
+from multicent.network import _weighted_layer_sum
 
 from conftest import random_layerwise_connected_multiplex, random_sparse_multiplex
-from oracles import perron_dense
+from oracles import global_het_on_matrix, perron_dense, versatility_on_matrix
 
 PATH_END = 0.3717
 PATH_MID = 0.6015
@@ -323,3 +332,130 @@ class TestAggregateDegreeCentrality:
         base = aggregate_degree_centrality(net).scores
         permuted = aggregate_degree_centrality(permute(net, sigma, pi)).scores
         np.testing.assert_allclose(permuted, base[sigma - 1], rtol=1e-13)
+
+
+@st.composite
+def _multiplex_and_influence(draw):
+    """A small multiplex, possibly with one layer, empty layers and isolated
+    nodes, and an influence matrix with zero and repeated entries."""
+    n, L = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    edge = st.tuples(st.integers(1, L), st.integers(1, n), st.integers(1, n),
+                     st.sampled_from((0.5, 1.0, 2.0, 3.7)))
+    net = build_network(n, L, draw(st.lists(edge, max_size=3 * n)))
+    entry = st.sampled_from((0.0, 0.0, 1.0, 1.0, 0.3))
+    W = draw(st.lists(st.lists(entry, min_size=L, max_size=L), min_size=L, max_size=L))
+    return net, InfluenceMatrix(np.array(W))
+
+
+def _close(new, ref):
+    """Equal to 1e-12 relative to the largest entry of ``ref``."""
+    np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def _same_order(new, ref):
+    """Identical rankings; entries that agree to rounding count as exact ties
+    (both scores are rounded to 11 decimals of their largest entry first)."""
+    def settled(s):
+        return np.round(s / s.max(), 11) if s.max() > 0 else s
+    assert np.array_equal(rank(settled(new)).order, rank(settled(ref)).order)
+
+
+# few iterations keep the drawn non-converging cases quick; both routes get the same cap
+_PERRON = {"max_iter": 300}
+
+
+class TestBlockOperators:
+    """The supra and influence operators against the matrices they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_multiplex_and_influence(), seed=st.integers(0, 2**16))
+    def test_operators_match_built_matrices(self, case, seed):
+        net, W = case
+        x = np.random.default_rng(seed).random(net.n * net.L)
+        for op, M in ((_supra_operator(net), supra_adjacency(net)),
+                      (_influence_operator(net, W), khatri_rao_influence(net, W))):
+            want = M @ x
+            np.testing.assert_allclose(op @ x, want, rtol=0,
+                                       atol=1e-12 * max(np.abs(want).max(), 1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_multiplex_and_influence())
+    def test_versatility_flag_is_supra_reducibility(self, case):
+        net, _ = case
+        ncomp, _ = connected_components(supra_adjacency(net), directed=True,
+                                        connection="strong")
+        assert (not connectivity(net).aggregate_connected) == (ncomp > 1)
+        if net.L == 1 and net.layers[0].nnz == 0:
+            return
+        # a loop that reports a clean run leaves the structural flag alone
+        def clean(M, **kw):
+            return PerronResult(value=1.0, vector=np.full(M.shape[0], 1.0 / M.shape[0]),
+                                converged=True, degenerate_warning=False, iterations=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multicent.baselines, "matrix_perron", clean)
+            assert versatility_centrality(net).degenerate_warning == (ncomp > 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_multiplex_and_influence())
+    def test_scores_match_perron_on_built_matrices(self, case):
+        net, W = case
+        if not (net.L == 1 and net.layers[0].nnz == 0):
+            ref, flag = versatility_on_matrix(net, **_PERRON)
+            res = versatility_centrality(net, **_PERRON)
+            assert res.degenerate_warning == flag
+            _close(res.scores, ref)
+            _same_order(res.scores, ref)
+        if khatri_rao_influence(net, W).nnz:
+            ref, flag = global_het_on_matrix(net, W, **_PERRON)
+            gh = global_heterogeneous_centrality(net, W, **_PERRON)
+            assert gh.column_degenerate == (flag,) * net.L
+            for new, want in zip(gh.matrix.T, ref.T):
+                _close(new, want)
+                _same_order(new, want)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda net: global_heterogeneous_centrality(net, InfluenceMatrix(np.zeros((3, 3)))),
+         ValidationError, "influence block matrix is identically zero"),
+        (lambda net: global_heterogeneous_centrality(
+            net, InfluenceMatrix(np.diag([0.0, 0.0, 1.0]))),
+         ValidationError, "influence block matrix is identically zero"),
+        (lambda net: global_heterogeneous_centrality(
+            build_network(2, 1, [(1, 1, 2, 1e10)]), InfluenceMatrix(np.array([[1e300]]))),
+         ValidationError, "matrix has non-finite entries"),
+        (lambda net: versatility_centrality(build_network(3, 1, [])),
+         ValidationError, "matrix is identically zero"),
+        (lambda net: global_heterogeneous_centrality(net, InfluenceMatrix.uniform(2)),
+         DimensionError, "influence matrix side 2 does not match layer count 3"),
+        (lambda net: local_heterogeneous_centrality(net, InfluenceMatrix.uniform(4)),
+         DimensionError, "influence matrix side 4 does not match layer count 3"),
+    ])
+    def test_error_paths(self, call, error, message):
+        net = build_network(3, 3, [(1, 1, 2, 1.0), (2, 2, 3, 1.0)])  # layer 3 is empty
+        with pytest.raises(error) as info:
+            call(net)
+        assert type(info.value) is error and str(info.value) == message
+
+
+class TestLocalHeterogeneousSharedRows:
+    def test_repeated_rows_solved_once_each(self, monkeypatch):
+        rng = np.random.default_rng(151)
+        net = random_sparse_multiplex(rng, 9, 4)
+        W = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        want = [matrix_perron(_weighted_layer_sum(net, row)) for row in W]
+        calls = []
+        real = matrix_perron
+        monkeypatch.setattr(multicent.baselines, "matrix_perron",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        lh = local_heterogeneous_centrality(net, InfluenceMatrix(W))
+        assert len(calls) == 2
+        for l, pr in enumerate(want):
+            assert np.array_equal(lh.matrix[:, l], pr.vector)
+            assert lh.column_degenerate[l] == (pr.degenerate_warning or not pr.converged)
+
+    def test_identity_is_the_layer_eigenvectors_exactly(self):
+        net = build_network(4, 3, [(1, 1, 2, 1.0), (1, 2, 3, 2.0), (2, 3, 4, 1.0)])
+        lh = local_heterogeneous_centrality(net, InfluenceMatrix.identity(3))
+        Q = layer_eigenvectors(net)
+        assert np.array_equal(lh.matrix, Q.matrix)
+        assert lh.column_degenerate == Q.column_degenerate == (True, True, True)

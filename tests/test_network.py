@@ -100,6 +100,21 @@ class TestBuildNetwork:
         with pytest.raises(ValidationError, match="non-finite weight"):
             MultiplexNetwork(n=2, L=1, layers=[A])
 
+    def test_direct_construction_leaves_caller_arrays(self):
+        # unsorted columns and an explicit zero are mended in a copy
+        A = sp.csr_array((np.ones(4), np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
+                         shape=(2, 2))
+        Z = sp.csr_array((np.array([0.0, 1.0, 1.0]), np.array([0, 1, 0]),
+                          np.array([0, 2, 3])), shape=(2, 2))
+        net = MultiplexNetwork(n=2, L=2, layers=[A, Z])
+        assert A.indices.tolist() == [1, 0, 1, 0]
+        assert Z.data.tolist() == [0.0, 1.0, 1.0] and Z.nnz == 3
+        assert net.layers[0].indices.tolist() == [0, 1, 0, 1]
+        assert net.layers[1].nnz == 2
+        # a canonical layer is stored as given
+        C = sp.csr_array(np.ones((2, 2)))
+        assert np.shares_memory(MultiplexNetwork(n=2, L=1, layers=[C]).layers[0].data, C.data)
+
     def test_label_length_checked(self):
         with pytest.raises(DimensionError):
             build_network(2, 1, [], node_labels=["a"])
@@ -300,6 +315,16 @@ class TestKhatriRaoInfluence:
     def test_dimension_mismatch(self, explanatory):
         with pytest.raises(DimensionError):
             khatri_rao_influence(explanatory, InfluenceMatrix.identity(3))
+
+    @pytest.mark.parametrize("W", [[[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]],
+                                   [[2.0, 0.0], [1.0, 0.0]]])
+    def test_zero_rows_and_columns_keep_the_shape(self, explanatory, W):
+        K = khatri_rao_influence(explanatory, InfluenceMatrix(np.array(W)))
+        n = explanatory.n
+        want = np.block([[W[l][k] * explanatory.layers[k].toarray() for k in range(2)]
+                         for l in range(2)])
+        assert K.shape == (2 * n, 2 * n)
+        np.testing.assert_array_equal(K.toarray(), want)
 
     def test_general_blocks(self):
         rng = np.random.default_rng(31)
