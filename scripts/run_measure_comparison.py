@@ -110,7 +110,7 @@ def main():
         args.out.mkdir(parents=True, exist_ok=True)
         for name, vec in vectors.items():
             path = args.out / f"{name}.csv"
-            path.write_text(write_scores(vec, rank(vec)), encoding="utf-8")
+            path.write_text(write_scores(vec), encoding="utf-8")
         print(f"\nwrote per-measure CSVs to {args.out}/")
 
 

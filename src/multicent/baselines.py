@@ -79,16 +79,18 @@ class ScoreResult:
 
 
 def _checked_matrix(M) -> tuple[sp.csr_array, bool]:
-    """``M`` validated as a CSR copy without stored zeros, and whether its
+    """``M`` validated as a canonical CSR copy without stored zeros, and whether its
     graph is not strongly connected (its Perron vector is then not unique)."""
     M = sp.csr_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {M.shape}")
-    if M.nnz:
-        if not np.all(np.isfinite(M.data)):
-            raise ValidationError("matrix has non-finite entries")
-        if np.any(M.data < 0):
-            raise ValidationError("matrix has negative entries")
+    if not M.has_canonical_format:  # entries stored twice count as their sum, as in a layer
+        M = M.copy()
+        M.sum_duplicates()
+    if not np.all(np.isfinite(M.data)):
+        raise ValidationError("matrix has non-finite entries")
+    if np.any(M.data < 0):
+        raise ValidationError("matrix has negative entries")
     M = M.copy()
     M.eliminate_zeros()
     if M.nnz == 0:
@@ -98,13 +100,15 @@ def _checked_matrix(M) -> tuple[sp.csr_array, bool]:
     return M, bool(ncomp > 1)
 
 
-def matrix_perron(M, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
-                  plateau_window: int = PLATEAU_WINDOW) -> PerronResult:
+def matrix_perron(M, tol: float = PERRON_TOL,
+                  max_iter: int = PERRON_MAX_ITER) -> PerronResult:
     """Power iteration for the Perron pair of a non-negative square matrix.
 
     Starts from the uniform positive vector, renormalizes in the 1-norm
     each step, and stops once the eigen-residual ||Mv - value*v||_inf falls
     below ``tol * value``. The value estimate is the Rayleigh quotient.
+    A residual that has not dropped by 1% over the last ``PLATEAU_WINDOW``
+    steps is a plateau, and flags the result degenerate.
 
     A ``LinearOperator`` is applied unchecked; its flag then reports only the
     plateau and nilpotent cases, and the caller adds the structural one.
@@ -135,9 +139,9 @@ def matrix_perron(M, tol: float = PERRON_TOL, max_iter: int = PERRON_MAX_ITER,
         if res <= tol * value:
             converged = True
             break
-        if (len(residuals) > plateau_window
+        if (len(residuals) > PLATEAU_WINDOW
                 and res > tol * value
-                and res > 0.99 * residuals[-plateau_window - 1]):
+                and res > 0.99 * residuals[-PLATEAU_WINDOW - 1]):
             degenerate = True
         v = w / total
     return PerronResult(value=value, vector=v, converged=converged,

@@ -96,6 +96,8 @@ def _parse_option(ctx, param, value):
             matrix = np.loadtxt(value, ndmin=2)
             return lambda L: InfluenceMatrix(matrix)
         items = [v.strip() for v in value.split(",") if v.strip()]
+        if not items:
+            raise click.BadParameter("the list has no items")
         if param.name == "measures":
             unknown = [m for m in items if m not in _names(SOLVER, NODE)]
             if unknown:
@@ -223,6 +225,11 @@ def centrality(input_path, nodes_override, layers_override, symmetrize,
                alpha, beta, tol, max_iter, stopping_norm, unsafe_params,
                alpha_list, random_start, seed, output_dir, fmt):
     """Nonlinear node/layer centrality of the multiplex in INPUT_PATH."""
+    used = [opt for opt, on in (("--random-start", random_start), ("--seed", seed is not None),
+                                ("--format json", fmt == "json")) if on]
+    if alpha_list is not None and used:
+        raise click.UsageError(f"{used[0]} does not apply to --alpha-list, which "
+                               "runs from the uniform start and writes CSV")
     net = _load_network(input_path, nodes_override, layers_override, symmetrize)
     if alpha_list is not None:
         result = alpha_sweep(net, alpha_list, beta, tol=tol, max_iter=max_iter,
@@ -243,9 +250,9 @@ def centrality(input_path, nodes_override, layers_override, symmetrize,
                                 t=rng.uniform(0.1, 1.0, net.L))
     scores, report = node_layer_centrality(net, params, start=start)
     _emit(output_dir, f"nodes.{fmt}",
-          write_scores(scores.x, rank(scores.x), fmt=fmt, labels=net.node_labels))
+          write_scores(scores.x, fmt=fmt, labels=net.node_labels))
     _emit(output_dir, f"layers.{fmt}",
-          write_scores(scores.t, rank(scores.t), fmt=fmt, labels=net.layer_labels))
+          write_scores(scores.t, fmt=fmt, labels=net.layer_labels))
     _emit(output_dir, "report.json",
           json.dumps(report_to_dict(report), indent=2) + "\n")
     if not report.converged:
@@ -285,11 +292,13 @@ def baseline(input_path, nodes_override, layers_override, symmetrize,
     if omega is not None and (kind == PER_LAYER or measure == "agg_deg"):
         raise click.UsageError(f"--omega does not apply to {measure}, "
                                "which takes no layer weights")
+    if fmt == "json" and kind == PER_LAYER:
+        raise click.UsageError(f"--format json does not apply to {measure}, which writes CSV")
     net = _load_network(input_path, nodes_override, layers_override, symmetrize)
     if kind == NODE:
         res = _warned(measure, fn(net, omega))
         _emit(output_dir, f"{measure}.{fmt}",
-              write_scores(res.scores, rank(res.scores), fmt=fmt, labels=net.node_labels))
+              write_scores(res.scores, fmt=fmt, labels=net.node_labels))
         return
     cm = _warned(measure, fn(net, influence(net.L)))
     columns = net.layer_labels or [f"layer{l + 1}" for l in range(net.L)]

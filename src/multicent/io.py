@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .network import MultiplexNetwork, build_network, group_pairs
-from .ranking import Ranking, rank
+from .ranking import rank
 from .solver import ConvergenceReport
 
 SYMMETRIZE_POLICIES = ("mirror", "max", "error")
@@ -213,21 +213,19 @@ def report_to_dict(report: ConvergenceReport) -> dict:
     return d
 
 
-def write_scores(scores, ranking: Ranking | None = None, fmt: str = "csv",
-                 labels=None, report: ConvergenceReport | None = None) -> str:
-    """Serialize a score vector with ranks, optionally bundling the report.
+def write_scores(scores, fmt: str = "csv", labels=None,
+                 report: ConvergenceReport | None = None) -> str:
+    """Serialize a score vector with its ranks, optionally bundling the report.
 
-    CSV columns are ``index,label,score,rank``; indices and ranks are
-    1-based. Scores are written with ``repr`` so parsing them back is exact.
-    JSON carries the same rows plus the report fields verbatim.
+    CSV columns are ``index,label,score,rank``; indices and the ranks of
+    :func:`rank` are 1-based. Scores are written with ``repr`` so parsing them
+    back is exact. JSON carries the same rows plus the report fields verbatim.
     """
     s = np.asarray(scores, dtype=float)
-    if ranking is None:
-        ranking = rank(s)
     index = range(1, len(s) + 1)
     if labels is None:
         labels = index
-    places = (ranking.positions() + 1).tolist()
+    places = (rank(s).positions() + 1).tolist()
     if fmt == "csv":
         lines = ["index,label,score,rank"]
         lines += [f"{i},{label},{x!r},{p}"

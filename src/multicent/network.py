@@ -49,6 +49,12 @@ def _as_layer_matrix(mat, n: int, which: int) -> sp.csr_array:
     return A
 
 
+def _check_counts(n, L) -> None:
+    for what, count in (("node", n), ("layer", L)):
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValidationError(f"{what} count must be a positive integer, got {count!r}")
+
+
 @dataclass
 class MultiplexNetwork:
     """An undirected weighted multiplex on n shared nodes and L layers.
@@ -66,10 +72,7 @@ class MultiplexNetwork:
     layer_labels: list | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValidationError(f"node count must be a positive integer, got {self.n!r}")
-        if not isinstance(self.L, (int, np.integer)) or self.L < 1:
-            raise ValidationError(f"layer count must be a positive integer, got {self.L!r}")
+        _check_counts(self.n, self.L)
         if len(self.layers) != self.L:
             raise DimensionError(f"expected {self.L} layers, got {len(self.layers)}")
         self.layers = [_as_layer_matrix(A, self.n, l + 1) for l, A in enumerate(self.layers)]
@@ -194,10 +197,7 @@ def build_network(n: int, L: int, edges, node_labels=None,
     record inserts both (i, j) and (j, i); repeated records for the same
     layer and pair accumulate by summation, in record order. Self-loops are kept.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"node count must be a positive integer, got {n!r}")
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValidationError(f"layer count must be a positive integer, got {L!r}")
+    _check_counts(n, L)
     try:
         records = edges if isinstance(edges, np.ndarray) else list(edges)
         E = np.asarray(records, dtype=float)

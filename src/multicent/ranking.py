@@ -59,20 +59,14 @@ def pearson(v1, v2) -> float:
     return float(np.clip((a @ b) / denom, -1.0, 1.0))
 
 
-def _isim_terms(order1: np.ndarray, order2: np.ndarray, K: int):
-    """Yield |top-k symmetric difference| / (2k) for k = 1..K."""
-    seen1: set = set()
-    seen2: set = set()
-    diff = 0
-    for k in range(1, K + 1):
-        a = int(order1[k - 1])
-        b = int(order2[k - 1])
-        if a != b:
-            diff += -1 if a in seen2 else 1
-            diff += -1 if b in seen1 else 1
-        seen1.add(a)
-        seen2.add(b)
-        yield diff / (2 * k)
+def _isim_curve(order1: np.ndarray, order2: np.ndarray, K: int) -> np.ndarray:
+    """Running mean over k = 1..K of |top-k symmetric difference| / (2k), that is
+    of (2k - 2c_k) / (2k) with c_k the items whose later position is below k."""
+    _, pos1, pos2 = np.intersect1d(order1[:K], order2[:K], assume_unique=True,
+                                   return_indices=True)
+    c = np.cumsum(np.bincount(np.maximum(pos1, pos2), minlength=K))
+    k = np.arange(1, K + 1)
+    return np.cumsum((2 * k - 2 * c) / (2 * k)) / k
 
 
 def intersection_similarity(r1: Ranking, r2: Ranking, K: int) -> float:
@@ -85,16 +79,14 @@ def intersection_similarity(r1: Ranking, r2: Ranking, K: int) -> float:
         raise ValidationError(f"K must be a positive integer, got {K!r}")
     if K > len(r1.order) or K > len(r2.order):
         raise ValidationError(f"K={K} exceeds a ranking length")
-    return float(sum(_isim_terms(r1.order, r2.order, K)) / K)
+    return float(_isim_curve(r1.order, r2.order, K)[-1])
 
 
 def isim_curve(r1: Ranking, r2: Ranking) -> np.ndarray:
     """Intersection similarity at every K from 1 to the full length."""
     if len(r1.order) != len(r2.order):
         raise ValidationError("rankings must have equal length")
-    n = len(r1.order)
-    terms = np.fromiter(_isim_terms(r1.order, r2.order, n), dtype=float, count=n)
-    return np.cumsum(terms) / np.arange(1, n + 1)
+    return _isim_curve(r1.order, r2.order, len(r1.order))
 
 
 @dataclass

@@ -18,7 +18,8 @@ factor
 
 so the fixed point exists, is unique among normalized non-negative pairs
 with the structurally forced zero pattern, and the plain power iteration
-converges to it with a priori and a posteriori error certificates. No
+converges to it; the report certifies the iteration count a priori, from
+the uniform start, but carries no a posteriori error bound. No
 connectivity assumption on the network is needed, which is the point: the
 linear baselines in :mod:`multicent.baselines` all break on disconnected
 data, this solver does not.
@@ -46,8 +47,8 @@ _NORM_ORDS = {"euclidean": 2, "one": 1, "max": np.inf}
 
 
 def contraction_gate_holds(alpha: float, beta: float) -> bool:
-    """True when the exponents guarantee a unique solution (2/beta < alpha - 1)."""
-    return 2.0 / beta < alpha - 1.0
+    """True when the exponents guarantee a unique solution: 2/beta < alpha - 1 and rho < 1."""
+    return 2.0 / beta < alpha - 1.0 and contraction_factor(alpha, beta).rho < 1
 
 
 @dataclass
@@ -169,18 +170,13 @@ def _fractional_power(values: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _check_pair(net: MultiplexNetwork, x, t):
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if x.shape != (net.n,):
-        raise ValidationError(f"node vector must have length {net.n}, got shape {x.shape}")
-    if t.shape != (net.L,):
-        raise ValidationError(f"layer vector must have length {net.L}, got shape {t.shape}")
-    for name, v in (("node", x), ("layer", t)):
-        if not np.all(np.isfinite(v)):
-            raise ValidationError(f"{name} vector has non-finite entries")
-        if np.any(v < 0):
-            raise ValidationError(f"{name} vector has negative entries")
-    return x, t
+    """``(x, t)`` as float vectors sized to ``net``; NodeLayerScores checks the entries."""
+    pair = NodeLayerScores(x=x, t=t)
+    if pair.x.shape != (net.n,):
+        raise ValidationError(f"node vector must have length {net.n}, got shape {pair.x.shape}")
+    if pair.t.shape != (net.L,):
+        raise ValidationError(f"layer vector must have length {net.L}, got shape {pair.t.shape}")
+    return pair.x, pair.t
 
 
 def _weighted_sums(net: MultiplexNetwork, x: np.ndarray, t: np.ndarray):

@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import multicent
 import multicent.baselines
 from multicent import (
     DimensionError,
@@ -112,6 +119,40 @@ class TestMatrixPerron:
         pr = matrix_perron(M, max_iter=500)
         assert not pr.converged
         assert pr.degenerate_warning
+
+    @pytest.mark.parametrize("data, summed", [
+        ([1.0, 1.0, 1.0, 1.0], [[0.0, 2.0], [1.0, 1.0]]),
+        ([2.0, -1.0, 1.0, 1.0], [[0.0, 1.0], [1.0, 1.0]]),
+    ], ids=["repeated-column", "negative-duplicate"])
+    def test_duplicate_entries_count_as_their_sum(self, data, summed):
+        # row 0 stores column 1 twice; a child process, so that a hang in the
+        # strong-component search fails this test instead of stalling the suite
+        src = str(Path(multicent.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        try:
+            out = subprocess.run(
+                [sys.executable, "-c", DUPLICATE_ENTRIES_PERRON, json.dumps(data)],
+                env=env, capture_output=True, text=True, check=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("matrix_perron did not return on a CSR with a repeated column index")
+        got = json.loads(out.stdout)
+        want = matrix_perron(np.array(summed))
+        assert got == [want.value, want.vector.tolist(), want.converged,
+                       want.degenerate_warning, want.iterations]
+
+
+DUPLICATE_ENTRIES_PERRON = """
+import json
+import sys
+import scipy.sparse as sp
+from multicent import matrix_perron
+
+M = sp.csr_array((json.loads(sys.argv[1]), [1, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
+pr = matrix_perron(M)
+print(json.dumps([pr.value, pr.vector.tolist(), pr.converged, pr.degenerate_warning,
+                  pr.iterations]))
+"""
 
 
 class TestLayerEigenvectors:

@@ -383,6 +383,38 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["centrality", "--alpha-list", ","],
+        ["centrality", "--alpha-list", ""],
+        ["compare", "--measures", ","],
+        ["baseline", "--measure", "eig_cen", "--omega", " , "],
+    ])
+    def test_empty_list_exit_2(self, runner, explanatory_file, tmp_path, argv):
+        out = tmp_path / "o"
+        res = runner.invoke(main, [argv[0], str(explanatory_file), *argv[1:], "-o", str(out)])
+        assert res.exit_code == 2
+        assert "the list has no items" in res.stderr
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["centrality", "--alpha-list", "2.1,3", "--random-start"], "--random-start"),
+        (["centrality", "--alpha-list", "2.1,3", "--seed", "7"], "--seed"),
+        (["centrality", "--alpha-list", "2.1,3", "--format", "json"], "--format json"),
+        (["baseline", "--measure", "local_het", "--format", "json"], "--format json"),
+        (["baseline", "--measure", "global_het", "--format", "json"], "--format json"),
+    ])
+    def test_ignored_option_exit_2_before_loading(self, runner, tmp_path, argv, option):
+        # the input is not an edge list: loading it would fail with a parse error
+        bad = tmp_path / "bad.edges"
+        bad.write_text("not an edge list\n", encoding="utf-8")
+        out = tmp_path / "o"
+        res = runner.invoke(main, [argv[0], str(bad), *argv[1:], "-o", str(out)])
+        assert res.exit_code == 2
+        assert f"{option} does not apply to" in res.stderr
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["compare", "--measures", "foo"],
         ["centrality", "--alpha-list", "2.1,x"],
         ["baseline", "--measure", "eig_cen", "--omega", "1,x"],

@@ -13,7 +13,6 @@ from multicent import (
     ValidationError,
     connectivity,
     parse_multiplex_edges,
-    rank,
     read_scores,
     report_to_dict,
     to_network,
@@ -328,7 +327,7 @@ class TestRoundTrip:
 class TestWriteScores:
     def test_csv_rows_and_ranks(self):
         scores = np.full(4, 0.25)
-        text = write_scores(scores, rank(scores), fmt="csv")
+        text = write_scores(scores, fmt="csv")
         lines = text.strip().splitlines()
         assert lines[0] == "index,label,score,rank"
         assert len(lines) == 5
@@ -341,7 +340,7 @@ class TestWriteScores:
     def test_csv_round_trip_exact(self):
         rng = np.random.default_rng(179)
         scores = rng.uniform(0, 1, 7)
-        rows = read_scores(write_scores(scores, rank(scores)))
+        rows = read_scores(write_scores(scores))
         assert [r["score"] for r in rows] == scores.tolist()
 
     def test_json_report_fields_verbatim(self):

@@ -139,6 +139,31 @@ class TestIntersectionSimilarity:
             assert val == pytest.approx(isim_bruteforce(p1, p2, K), abs=1e-14)
 
 
+class TestIsimClosedForm:
+    """The closed form divides the same integers as the prefix-set oracle and
+    adds the terms in the same order, so the two agree exactly."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 30), n2=st.integers(1, 30))
+    def test_equals_oracle_on_prefixes_of_different_lengths(self, seed, n1, n2):
+        rng = np.random.default_rng(seed)
+        # scores drawn from four values, so most rankings break ties
+        r1 = rank(rng.integers(0, 4, n1).astype(float))
+        r2 = rank(rng.integers(0, 4, n2).astype(float))
+        for K in range(1, min(n1, n2) + 1):
+            assert intersection_similarity(r1, r2, K) == isim_bruteforce(r1.order, r2.order, K)
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_curve_is_running_mean_of_oracle_terms(self, seed, n):
+        rng = np.random.default_rng(seed)
+        r1 = rank(rng.integers(0, 4, n).astype(float))
+        r2 = rank(rng.integers(0, 4, n).astype(float))
+        # the oracle at K is the mean of its first K terms, summed in order
+        expected = [isim_bruteforce(r1.order, r2.order, K) for K in range(1, n + 1)]
+        assert isim_curve(r1, r2).tolist() == expected
+
+
 class TestIsimCurve:
     def test_identical_is_zero_curve(self):
         r = rank([0.5, 0.4, 0.3, 0.2, 0.1])

@@ -88,6 +88,16 @@ class TestContractionFactor:
             np.testing.assert_array_equal(
                 cd.theta, [[1 / alpha, 1 / alpha], [2 / beta, 0.0]])
 
+    def test_gate_fails_where_rho_evaluates_to_one(self, explanatory):
+        # 2/20 < 1.1 - 1 holds in floating point, but rho rounds to exactly 1
+        assert 2.0 / 20.0 < 1.1 - 1.0
+        assert contraction_factor(1.1, 20.0).rho == 1.0
+        assert not contraction_gate_holds(1.1, 20.0)
+        with pytest.raises(ParameterDomainError):
+            iteration_bound(explanatory, 1.1, 20.0, 1e-6)
+        with pytest.raises(ParameterDomainError):
+            SolverParams(alpha=1.1, beta=20.0)
+
     @settings(deadline=None, max_examples=100)
     @given(alpha=st.floats(0.2, 20), beta=st.floats(0.2, 20))
     def test_below_one_iff_gate_holds(self, alpha, beta):
