@@ -27,6 +27,7 @@ from .network import (
     InfluenceMatrix,
     MultiplexNetwork,
     _check_omega,
+    _nonnegative_csr,
     _weighted_layer_sum,
     aggregate_matrix,
     connectivity,
@@ -78,24 +79,14 @@ class ScoreResult:
     degenerate_warning: bool
 
 
-def _checked_matrix(M) -> tuple[sp.csr_array, bool]:
-    """``M`` validated as a canonical CSR copy without stored zeros, and whether its
+def _checked_matrix(M, what: str = "matrix") -> tuple[sp.csr_array, bool]:
+    """``M`` validated as a canonical CSR without stored zeros, and whether its
     graph is not strongly connected (its Perron vector is then not unique)."""
-    M = sp.csr_array(M)
+    M = _nonnegative_csr(M, what)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {M.shape}")
-    if not M.has_canonical_format:  # entries stored twice count as their sum, as in a layer
-        M = M.copy()
-        M.sum_duplicates()
-    if not np.all(np.isfinite(M.data)):
-        raise ValidationError("matrix has non-finite entries")
-    if np.any(M.data < 0):
-        raise ValidationError("matrix has negative entries")
-    M = M.copy()
-    M.eliminate_zeros()
+        raise DimensionError(f"{what} must be square, got shape {M.shape}")
     if M.nnz == 0:
-        raise ValidationError("matrix is identically zero")
-
+        raise ValidationError(f"{what} is identically zero")
     ncomp, _ = connected_components(M, directed=True, connection="strong")
     return M, bool(ncomp > 1)
 
@@ -203,8 +194,7 @@ def aggregate_eigenvector_centrality(net: MultiplexNetwork, omega=None,
                                      tol: float = PERRON_TOL,
                                      max_iter: int = PERRON_MAX_ITER) -> ScoreResult:
     """Perron vector of the weighted aggregate matrix sum_l omega_l A_l."""
-    w = _check_omega(omega, net.L)
-    pr = matrix_perron(aggregate_matrix(net, w), tol=tol, max_iter=max_iter)
+    pr = matrix_perron(aggregate_matrix(net, omega), tol=tol, max_iter=max_iter)
     return ScoreResult(measure_name="agg_eig", scores=pr.vector,
                        degenerate_warning=pr.degenerate_warning or not pr.converged)
 
@@ -233,10 +223,7 @@ def global_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
 
     The matrix is applied as ``W @ [A_k v_k]_k``; it is built only to check it.
     """
-    K = khatri_rao_influence(net, W)
-    if K.nnz == 0:
-        raise ValidationError("influence block matrix is identically zero")
-    reducible = _checked_matrix(K)[1]
+    reducible = _checked_matrix(khatri_rao_influence(net, W), "influence block matrix")[1]
     pr = matrix_perron(_influence_operator(net, W), tol=tol, max_iter=max_iter)
     cols = np.column_stack([_normalized(f) for f in pr.vector.reshape(net.L, net.n)])
     flag = pr.degenerate_warning or reducible or not pr.converged

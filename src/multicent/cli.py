@@ -20,6 +20,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .baselines import (
@@ -176,12 +177,10 @@ def _solver_options(f):
     return f
 
 
-def _output_options(f):
-    f = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="csv", show_default=True)(f)
-    f = click.option("-o", "--output", "output_dir", type=click.Path(file_okay=False),
-                     default=None, help="Directory for output files (default: stdout).")(f)
-    return f
+_output_option = click.option("-o", "--output", "output_dir", type=click.Path(file_okay=False),
+                              default=None, help="Directory for output files (default: stdout).")
+_format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                              default="csv", show_default=True)
 
 
 class _Main(click.Group):
@@ -217,19 +216,21 @@ def main():
 @click.option("--alpha-list", default=None, callback=_parse_option,
               help="Comma-separated node exponents; runs the exponent sweep "
                    "instead of a single solve.")
-@click.option("--random-start", is_flag=True,
-              help="Start from a random positive pair instead of all ones.")
-@click.option("--seed", type=int, default=None, help="Seed for --random-start.")
-@_output_options
-def centrality(input_path, nodes_override, layers_override, symmetrize,
+@click.option("--random-start", "seed", type=click.IntRange(min=0), default=None, metavar="SEED",
+              help="Start from a positive pair drawn with this seed instead of all ones.")
+@_output_option
+@_format_option
+@click.pass_context
+def centrality(ctx, input_path, nodes_override, layers_override, symmetrize,
                alpha, beta, tol, max_iter, stopping_norm, unsafe_params,
-               alpha_list, random_start, seed, output_dir, fmt):
+               alpha_list, seed, output_dir, fmt):
     """Nonlinear node/layer centrality of the multiplex in INPUT_PATH."""
-    used = [opt for opt, on in (("--random-start", random_start), ("--seed", seed is not None),
-                                ("--format json", fmt == "json")) if on]
+    used = [opt for opt, on in (
+        ("--alpha", ctx.get_parameter_source("alpha") is not ParameterSource.DEFAULT),
+        ("--random-start", seed is not None), ("--format json", fmt == "json")) if on]
     if alpha_list is not None and used:
-        raise click.UsageError(f"{used[0]} does not apply to --alpha-list, which "
-                               "runs from the uniform start and writes CSV")
+        raise click.UsageError(f"{used[0]} does not apply to --alpha-list, which sweeps "
+                               "its own node exponents from the uniform start and writes CSV")
     net = _load_network(input_path, nodes_override, layers_override, symmetrize)
     if alpha_list is not None:
         result = alpha_sweep(net, alpha_list, beta, tol=tol, max_iter=max_iter,
@@ -244,7 +245,7 @@ def centrality(input_path, nodes_override, layers_override, symmetrize,
     params = SolverParams(alpha=alpha, beta=beta, tol=tol, max_iter=max_iter,
                           stopping_norm=stopping_norm, unsafe_params=unsafe_params)
     start = None
-    if random_start:
+    if seed is not None:
         rng = np.random.default_rng(seed)
         start = NodeLayerScores(x=rng.uniform(0.1, 1.0, net.n),
                                 t=rng.uniform(0.1, 1.0, net.L))
@@ -284,14 +285,19 @@ def _write_sweep(result, output_dir):
 @click.option("--influence", default="ones", show_default=True, callback=_parse_option,
               help="Influence matrix for the heterogeneous measures: "
                    "'identity', 'ones', or a path to an LxL whitespace matrix.")
-@_output_options
-def baseline(input_path, nodes_override, layers_override, symmetrize,
+@_output_option
+@_format_option
+@click.pass_context
+def baseline(ctx, input_path, nodes_override, layers_override, symmetrize,
              measure, omega, influence, output_dir, fmt):
     """One of the linear eigenvector-based centralities of INPUT_PATH."""
     fn, kind = measure_table()[measure]
     if omega is not None and (kind == PER_LAYER or measure == "agg_deg"):
         raise click.UsageError(f"--omega does not apply to {measure}, "
                                "which takes no layer weights")
+    if kind == NODE and ctx.get_parameter_source("influence") is not ParameterSource.DEFAULT:
+        raise click.UsageError(f"--influence does not apply to {measure}, "
+                               "which takes no influence matrix")
     if fmt == "json" and kind == PER_LAYER:
         raise click.UsageError(f"--format json does not apply to {measure}, which writes CSV")
     net = _load_network(input_path, nodes_override, layers_override, symmetrize)
@@ -315,10 +321,10 @@ def baseline(input_path, nodes_override, layers_override, symmetrize,
 @click.option("--k", "top_k", type=click.IntRange(min=1), default=None,
               help="Also emit the pairwise intersection similarity at this K "
                    "(at most the node count).")
-@_output_options
+@_output_option
 def compare(input_path, nodes_override, layers_override, symmetrize,
             alpha, beta, tol, max_iter, stopping_norm, unsafe_params,
-            measures, top_k, output_dir, fmt):
+            measures, top_k, output_dir):
     """Pairwise ranking comparison of several measures on INPUT_PATH.
 
     A Pearson cell reads nan when a measure is constant on the network.

@@ -109,7 +109,7 @@ def _lines(text: str):
 def _parse_lines(text: str) -> np.ndarray:
     """The records of ``text``, line by line; raises at the first bad line."""
     flat = array("d")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -29,19 +29,27 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DimensionError, ValidationError
 
 
-def _as_layer_matrix(mat, n: int, which: int) -> sp.csr_array:
-    """Coerce one layer to CSR and enforce the stored-layer invariants."""
+def _nonnegative_csr(mat, what: str) -> sp.csr_array:
+    """``mat`` as a canonical CSR with finite non-negative entries and no stored
+    zeros; entries stored twice count as their sum. A copy is made only to mend
+    ``mat``, so the caller's arrays are never written."""
     A = sp.csr_array(mat)
+    if not (A.has_canonical_format and np.all(A.data)):
+        A = A.copy()
+        A.sum_duplicates()
+        A.eliminate_zeros()
+    if not np.all(np.isfinite(A.data)):
+        raise ValidationError(f"{what} has non-finite entries")
+    if np.any(A.data < 0):
+        raise ValidationError(f"{what} has negative entries")
+    return A
+
+
+def _as_layer_matrix(mat, n: int, which: int) -> sp.csr_array:
+    """One layer as a validated CSR that is exactly symmetric."""
+    A = _nonnegative_csr(mat, f"layer {which}")
     if A.shape != (n, n):
         raise DimensionError(f"layer {which}: expected shape ({n}, {n}), got {A.shape}")
-    if not (A.has_canonical_format and np.all(A.data)):
-        A = A.copy()  # mend a copy, never the caller's arrays
-    A.sum_duplicates()
-    if A.nnz and not np.all(np.isfinite(A.data)):
-        raise ValidationError(f"layer {which}: non-finite weight")
-    if A.nnz and np.any(A.data < 0):
-        raise ValidationError(f"layer {which}: negative weight")
-    A.eliminate_zeros()
     T = A.T.tocsr()  # canonical too, so equal arrays mean equal matrices
     if not all(np.array_equal(getattr(A, k), getattr(T, k))
                for k in ("indptr", "indices", "data")):

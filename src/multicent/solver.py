@@ -68,10 +68,7 @@ class SolverParams:
     unsafe_params: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValidationError(f"beta must be positive and finite, got {self.beta!r}")
+        contraction_factor(self.alpha, self.beta)  # checks the exponents, also when unsafe
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be positive, got {self.tol!r}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
@@ -152,8 +149,9 @@ def contraction_factor(alpha: float, beta: float) -> ContractionData:
     rho = (sqrt(8a + b) + sqrt(b)) / (2a sqrt(b)). Equals 1 exactly on the
     boundary 2/beta = alpha - 1 and drops below 1 inside the gate.
     """
-    if not (np.isfinite(alpha) and alpha > 0 and np.isfinite(beta) and beta > 0):
-        raise ValidationError("alpha and beta must be positive and finite")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
     rho = (math.sqrt(8 * alpha + beta) + math.sqrt(beta)) / (2 * alpha * math.sqrt(beta))
     theta = np.array([[1.0 / alpha, 1.0 / alpha],
                       [2.0 / beta, 0.0]])

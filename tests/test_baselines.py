@@ -120,38 +120,50 @@ class TestMatrixPerron:
         assert not pr.converged
         assert pr.degenerate_warning
 
-    @pytest.mark.parametrize("data, summed", [
-        ([1.0, 1.0, 1.0, 1.0], [[0.0, 2.0], [1.0, 1.0]]),
-        ([2.0, -1.0, 1.0, 1.0], [[0.0, 1.0], [1.0, 1.0]]),
+    @pytest.mark.parametrize("data, summed, layer", [
+        ([1.0, 1.0, 1.0, 1.0], [[0.0, 2.0], [1.0, 1.0]],
+         "layer 1: matrix is not exactly symmetric"),
+        ([2.0, -1.0, 1.0, 1.0], [[0.0, 1.0], [1.0, 1.0]], [[0, 1, 3], [1, 0, 1], [1, 1, 1]]),
     ], ids=["repeated-column", "negative-duplicate"])
-    def test_duplicate_entries_count_as_their_sum(self, data, summed):
-        # row 0 stores column 1 twice; a child process, so that a hang in the
-        # strong-component search fails this test instead of stalling the suite
+    def test_duplicate_entries_count_as_their_sum(self, data, summed, layer):
+        # row 0 stores column 1 twice, and both routes to the validator, a Perron
+        # run and a stored layer, see the summed matrix; a child process, so that
+        # a hang in the strong-component search fails this test instead of
+        # stalling the suite
         src = str(Path(multicent.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
             src, os.environ.get("PYTHONPATH")])))
         try:
             out = subprocess.run(
-                [sys.executable, "-c", DUPLICATE_ENTRIES_PERRON, json.dumps(data)],
+                [sys.executable, "-c", DUPLICATE_ENTRIES, json.dumps(data), json.dumps(summed)],
                 env=env, capture_output=True, text=True, check=True, timeout=60)
         except subprocess.TimeoutExpired:
             pytest.fail("matrix_perron did not return on a CSR with a repeated column index")
-        got = json.loads(out.stdout)
-        want = matrix_perron(np.array(summed))
-        assert got == [want.value, want.vector.tolist(), want.converged,
-                       want.degenerate_warning, want.iterations]
+        got, want = json.loads(out.stdout)
+        assert got == want
+        assert got[1] == layer
 
 
-DUPLICATE_ENTRIES_PERRON = """
+DUPLICATE_ENTRIES = """
 import json
 import sys
+import numpy as np
 import scipy.sparse as sp
-from multicent import matrix_perron
+from multicent import MultiplexNetwork, ValidationError, matrix_perron
 
-M = sp.csr_array((json.loads(sys.argv[1]), [1, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
-pr = matrix_perron(M)
-print(json.dumps([pr.value, pr.vector.tolist(), pr.converged, pr.degenerate_warning,
-                  pr.iterations]))
+def routes(M):
+    pr = matrix_perron(M)
+    try:
+        A = MultiplexNetwork(n=2, L=1, layers=[M]).layers[0]
+        layer = [A.indptr.tolist(), A.indices.tolist(), A.data.tolist()]
+    except ValidationError as exc:
+        layer = str(exc)
+    return [[pr.value, pr.vector.tolist(), pr.converged, pr.degenerate_warning,
+             pr.iterations], layer]
+
+data, summed = map(json.loads, sys.argv[1:])
+M = sp.csr_array((data, [1, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
+print(json.dumps([routes(M), routes(np.array(summed))]))
 """
 
 
@@ -462,6 +474,8 @@ class TestBlockOperators:
          ValidationError, "influence block matrix is identically zero"),
         (lambda net: global_heterogeneous_centrality(
             build_network(2, 1, [(1, 1, 2, 1e10)]), InfluenceMatrix(np.array([[1e300]]))),
+         ValidationError, "influence block matrix has non-finite entries"),
+        (lambda net: matrix_perron(np.array([[0.0, np.inf], [np.inf, 0.0]])),
          ValidationError, "matrix has non-finite entries"),
         (lambda net: versatility_centrality(build_network(3, 1, [])),
          ValidationError, "matrix is identically zero"),

@@ -76,7 +76,7 @@ class TestCentrality:
         assert "# nodes.csv" in res.output and "# report.json" in res.output
 
     def test_deterministic_outputs(self, runner, ratio_file, tmp_path):
-        args = ["--random-start", "--seed", "42"]
+        args = ["--random-start", "42"]
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -397,11 +397,14 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, option", [
-        (["centrality", "--alpha-list", "2.1,3", "--random-start"], "--random-start"),
-        (["centrality", "--alpha-list", "2.1,3", "--seed", "7"], "--seed"),
+        (["centrality", "--alpha-list", "2.1,3", "--random-start", "7"], "--random-start"),
+        # given at its default value, the option still counts as given
+        (["centrality", "--alpha-list", "2.1,3", "--alpha", "2.1"], "--alpha"),
         (["centrality", "--alpha-list", "2.1,3", "--format", "json"], "--format json"),
         (["baseline", "--measure", "local_het", "--format", "json"], "--format json"),
         (["baseline", "--measure", "global_het", "--format", "json"], "--format json"),
+        (["baseline", "--measure", "eig_cen", "--influence", "identity"], "--influence"),
+        (["baseline", "--measure", "agg_deg", "--influence", "ones"], "--influence"),
     ])
     def test_ignored_option_exit_2_before_loading(self, runner, tmp_path, argv, option):
         # the input is not an edge list: loading it would fail with a parse error
@@ -419,6 +422,9 @@ class TestExitCodes:
         ["centrality", "--alpha-list", "2.1,x"],
         ["baseline", "--measure", "eig_cen", "--omega", "1,x"],
         ["baseline", "--measure", "global_het", "--influence", "/nonexistent"],
+        ["compare", "--format", "json"],  # compare writes CSV only
+        ["centrality", "--seed", "7"],  # the seed is the value of --random-start
+        ["centrality", "--random-start", "-5"],  # numpy takes no negative seed
     ])
     def test_malformed_option_exit_2(self, runner, explanatory_file, argv):
         res = runner.invoke(main, [argv[0], str(explanatory_file), *argv[1:]])

@@ -68,6 +68,17 @@ class TestParse:
             parse_multiplex_edges("1 1 2 badweight\n")
         assert exc.value.line_number == 1
 
+    def test_line_number_after_the_first_chunk(self):
+        # the line loop reads the text in 1 MiB chunks; the bad line lies past
+        # the first one, behind CRLF and form-feed line breaks and a comment
+        # that keep the text off the vectorized path
+        body = "# comment\n" + "1 1 2\x0c1 2 3\r\n" * 90_000
+        assert len(body) > 1 << 20
+        text = body + "1 1 x\n1 2 3\n"
+        with pytest.raises(ParseError) as exc:
+            parse_multiplex_edges(text)
+        assert exc.value.line_number == 180_002 == text.splitlines().index("1 1 x") + 1
+
     def test_line_order_irrelevant(self):
         a = to_network(parse_multiplex_edges("1 1 2 1\n2 3 4 5\n1 2 3 2\n"))
         b = to_network(parse_multiplex_edges("1 2 3 2\n1 1 2 1\n2 3 4 5\n"))

@@ -16,10 +16,22 @@ from multicent import (
     permute,
     supra_adjacency,
 )
+from multicent.baselines import _checked_matrix
 from multicent.network import group_pairs
 
 from conftest import random_sparse_multiplex
 from oracles import perron_dense
+
+# The two routes to the one non-negative CSR validator, each with the name that
+# its messages give the matrix: a stored layer, and the input of a Perron run.
+VALIDATOR_ROUTES = (
+    (lambda M: MultiplexNetwork(n=M.shape[0], L=1, layers=[M]).layers[0], "layer 1"),
+    (lambda M: _checked_matrix(M)[0], "matrix"),
+)
+
+
+def _csr_arrays(M) -> list:
+    return [M.indptr.tolist(), M.indices.tolist(), M.data.tolist()]
 
 
 class TestBuildNetwork:
@@ -94,26 +106,34 @@ class TestBuildNetwork:
             MultiplexNetwork(n=2, L=1, layers=[A])
 
     def test_direct_construction_checks_summed_entries(self):
-        # two finite entries at one cell that sum to inf
-        A = sp.csr_array((np.full(4, 1e308), np.array([1, 1, 0, 0]), np.array([0, 2, 4])),
-                         shape=(2, 2))
-        with pytest.raises(ValidationError, match="non-finite weight"):
-            MultiplexNetwork(n=2, L=1, layers=[A])
+        # two entries at one cell whose sum is inf, or negative
+        for data, problem in ((np.full(4, 1e308), "non-finite"),
+                              (np.array([-1.0, 0.5, -1.0, 0.5]), "negative")):
+            A = sp.csr_array((data, np.array([1, 1, 0, 0]), np.array([0, 2, 4])), shape=(2, 2))
+            for route, what in VALIDATOR_ROUTES:
+                with pytest.raises(ValidationError) as info:
+                    route(A)
+                assert str(info.value) == f"{what} has {problem} entries"
 
     def test_direct_construction_leaves_caller_arrays(self):
-        # unsorted columns and an explicit zero are mended in a copy
-        A = sp.csr_array((np.ones(4), np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
-                         shape=(2, 2))
-        Z = sp.csr_array((np.array([0.0, 1.0, 1.0]), np.array([0, 1, 0]),
-                          np.array([0, 2, 3])), shape=(2, 2))
-        net = MultiplexNetwork(n=2, L=2, layers=[A, Z])
-        assert A.indices.tolist() == [1, 0, 1, 0]
-        assert Z.data.tolist() == [0.0, 1.0, 1.0] and Z.nnz == 3
-        assert net.layers[0].indices.tolist() == [0, 1, 0, 1]
-        assert net.layers[1].nnz == 2
-        # a canonical layer is stored as given
-        C = sp.csr_array(np.ones((2, 2)))
-        assert np.shares_memory(MultiplexNetwork(n=2, L=1, layers=[C]).layers[0].data, C.data)
+        # unsorted columns and an explicit zero are mended in a copy, a canonical
+        # matrix is kept as given, and both routes store the same arrays
+        stored = []
+        for route, _ in VALIDATOR_ROUTES:
+            A = sp.csr_array((np.ones(4), np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
+                             shape=(2, 2))
+            Z = sp.csr_array((np.array([0.0, 1.0, 1.0]), np.array([0, 1, 0]),
+                              np.array([0, 2, 3])), shape=(2, 2))
+            C = sp.csr_array(np.ones((2, 2)))
+            given = [_csr_arrays(M) for M in (A, Z, C)]
+            out = [route(M) for M in (A, Z, C)]
+            assert [_csr_arrays(M) for M in (A, Z, C)] == given
+            assert out[0].indices.tolist() == [0, 1, 0, 1]
+            assert out[1].nnz == 2 and out[1].data.tolist() == [1.0, 1.0]
+            assert all(M.has_canonical_format for M in out)
+            assert np.shares_memory(out[2].data, C.data)
+            stored.append([_csr_arrays(M) for M in out])
+        assert stored[0] == stored[1]
 
     def test_label_length_checked(self):
         with pytest.raises(DimensionError):

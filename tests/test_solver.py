@@ -68,6 +68,19 @@ class TestSolverParams:
         with pytest.raises(ValidationError):
             SolverParams(alpha=3.0, beta=2.0, stopping_norm="chebyshev")
 
+    @pytest.mark.parametrize("alpha, beta, message", [
+        (-1.0, 2.0, "alpha must be positive and finite, got -1.0"),
+        (3.0, float("inf"), "beta must be positive and finite, got inf"),
+    ])
+    def test_one_exponent_check_also_when_unsafe(self, alpha, beta, message):
+        calls = [lambda: contraction_factor(alpha, beta)]
+        calls += [lambda unsafe=unsafe: SolverParams(alpha, beta, unsafe_params=unsafe)
+                  for unsafe in (False, True)]
+        for call in calls:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == message
+
 
 class TestContractionFactor:
     def test_boundary_is_one(self):
