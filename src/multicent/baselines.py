@@ -4,7 +4,8 @@ Every measure here reduces node scoring to the Perron vector of some
 non-negative matrix assembled from the layers: per-layer adjacency
 matrices, the aggregate, influence-weighted layer mixtures, the
 influence-weighted block matrix, or the supra-adjacency matrix (these two
-are applied as operators, never built). They share one plain power-method
+are applied as operators; the first is built, only to check it, when W has a
+zero or a product rounds to 0 or inf). They share one plain power-method
 routine (uniform start, 1-norm normalization, no shifts or deflation) and
 a common failure mode: on reducible matrices the dominant eigenvector is
 not unique, so the score depends on the start.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec  # B @ x into a given buffer: no public form
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator
 
@@ -26,6 +28,7 @@ from .errors import DimensionError, ValidationError
 from .network import (
     InfluenceMatrix,
     MultiplexNetwork,
+    _check_influence_side,
     _check_omega,
     _nonnegative_csr,
     _weighted_layer_sum,
@@ -109,7 +112,7 @@ def matrix_perron(M, tol: float = PERRON_TOL,
         M, degenerate = _checked_matrix(M)
 
     n = M.shape[0]
-    v = np.full(n, 1.0 / n)
+    v, r = np.full(n, 1.0 / n), np.empty(n)  # each step overwrites both
     residuals: list[float] = []
     value = 0.0
     converged = False
@@ -125,7 +128,8 @@ def matrix_perron(M, tol: float = PERRON_TOL,
             degenerate = True
             break
         value = float(v @ w / (v @ v))
-        res = float(np.max(np.abs(w - value * v)))
+        np.subtract(w, np.multiply(v, value, out=r), out=r)  # w - value * v
+        res = float(np.abs(r, out=r).max())
         residuals.append(res)
         if res <= tol * value:
             converged = True
@@ -134,7 +138,7 @@ def matrix_perron(M, tol: float = PERRON_TOL,
                 and res > tol * value
                 and res > 0.99 * residuals[-PLATEAU_WINDOW - 1]):
             degenerate = True
-        v = w / total
+        v = np.divide(w, total, out=v)
     return PerronResult(value=value, vector=v, converged=converged,
                         degenerate_warning=degenerate, iterations=iterations)
 
@@ -157,21 +161,37 @@ def _perron_columns(net, matrices, which, measure_name, tol, max_iter) -> Centra
                             column_degenerate=tuple(flags[r] for r in which))
 
 
+def _layer_products(net: MultiplexNetwork):
+    """The block-diagonal product x -> [A_k x_k]_k, as an (L, n) array that
+    each call overwrites. The block operators below also return buffers of
+    their own, so a Perron step maps no fresh nL-vector, whose pages would all
+    fault in again at every step."""
+    B = sp.block_diag(net.layers, format="csr")
+    P = np.empty((net.L, net.n))
+
+    def products(x):
+        P.fill(0.0)  # csr_matvec adds B @ x to P
+        csr_matvec(*B.shape, B.indptr, B.indices, B.data, x, P.ravel())
+        return P
+    return products
+
+
 def _supra_operator(net: MultiplexNetwork) -> LinearOperator:
     """x -> ``supra_adjacency(net) @ x``, as y_l = A_l x_l + sum_k x_k - x_l."""
-    B = sp.block_diag(net.layers, format="csr")
+    products, D = _layer_products(net), np.empty((net.L, net.n))
 
     def matvec(x):
-        X, P = x.reshape(net.L, net.n), (B @ x).reshape(net.L, net.n)
-        return (P + (X.sum(axis=0) - X)).ravel()
-    return LinearOperator(B.shape, matvec=matvec, dtype=float)
+        X = x.reshape(net.L, net.n)
+        P = products(x)
+        return np.add(P, np.subtract(X.sum(axis=0), X, out=D), out=P).ravel()
+    return LinearOperator((net.L * net.n,) * 2, matvec=matvec, dtype=float)
 
 
 def _influence_operator(net: MultiplexNetwork, W: InfluenceMatrix) -> LinearOperator:
     """x -> ``khatri_rao_influence(net, W) @ x``, as W @ [A_k x_k]_k."""
-    B = sp.block_diag(net.layers, format="csr")
-    return LinearOperator(B.shape, dtype=float,
-                          matvec=lambda x: (W.W @ (B @ x).reshape(net.L, net.n)).ravel())
+    products, out = _layer_products(net), np.empty((net.L, net.n))
+    return LinearOperator((net.L * net.n,) * 2, dtype=float,
+                          matvec=lambda x: np.matmul(W.W, products(x), out=out).ravel())
 
 
 def _normalized(v: np.ndarray) -> np.ndarray:
@@ -207,8 +227,7 @@ def local_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
     W = I reproduces the per-layer eigenvectors; W = all-ones makes every
     column the aggregate eigenvector. Equal rows share one solve.
     """
-    if W.L != net.L:
-        raise DimensionError(f"influence matrix side {W.L} does not match layer count {net.L}")
+    _check_influence_side(net, W)
     if np.any(W.W.sum(axis=1) == 0):
         raise ValidationError("influence matrix has a zero row (empty layer mixture)")
     rows, which = np.unique(W.W, axis=0, return_inverse=True)
@@ -216,14 +235,37 @@ def local_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
     return _perron_columns(net, mixtures, which.ravel(), "local_het", tol, max_iter)
 
 
+def _influence_reducible(net: MultiplexNetwork, W: InfluenceMatrix) -> bool:
+    """Whether ``khatri_rao_influence(net, W)`` is not strongly connected.
+
+    If ``W`` has no zero and no product ``W[l, k] * a`` with a weight ``a`` of
+    layer k rounds to 0 or overflows (rounding is monotone, so the extreme
+    values decide), block (l, k) has the pattern of A_k for every l. Then the
+    matrix is irreducible exactly when every node has an edge in every layer
+    and the aggregate is connected. Otherwise, or without edges, it is built.
+    """
+    _check_influence_side(net, W)
+    used = [k for k, A in enumerate(net.layers) if A.nnz]
+    if used and W.W.min() > 0:
+        with np.errstate(over="ignore"):
+            low = W.W[:, used].min(axis=0) * [net.layers[k].data.min() for k in used]
+            high = W.W[:, used].max(axis=0) * [net.layers[k].data.max() for k in used]
+        if np.all(low > 0) and np.all(np.isfinite(high)):
+            return (any(np.any(np.diff(A.indptr) == 0) for A in net.layers)
+                    or not connectivity(net).aggregate_connected)
+    return _checked_matrix(khatri_rao_influence(net, W), "influence block matrix")[1]
+
+
 def global_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
                                     tol: float = PERRON_TOL,
                                     max_iter: int = PERRON_MAX_ITER) -> CentralityMatrix:
     """Perron vector of the influence block matrix, reshaped to one column per layer.
 
-    The matrix is applied as ``W @ [A_k v_k]_k``; it is built only to check it.
+    The matrix is applied as ``W @ [A_k v_k]_k``. It is built, only to check
+    it, when ``W`` has a zero, the network no edge, or a product with a weight
+    rounds to 0 or overflows.
     """
-    reducible = _checked_matrix(khatri_rao_influence(net, W), "influence block matrix")[1]
+    reducible = _influence_reducible(net, W)
     pr = matrix_perron(_influence_operator(net, W), tol=tol, max_iter=max_iter)
     cols = np.column_stack([_normalized(f) for f in pr.vector.reshape(net.L, net.n)])
     flag = pr.degenerate_warning or reducible or not pr.converged

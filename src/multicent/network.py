@@ -3,9 +3,9 @@
 A multiplex is a collection of L undirected graphs (the layers) sharing one
 set of n nodes, with every node implicitly identified with its copies on the
 other layers. Layers are stored as sparse symmetric non-negative matrices;
-the structural constructions (aggregate matrix, and the supra-adjacency and
-influence-weighted block matrices that the baselines apply as operators)
-are built from them here.
+the aggregate, supra-adjacency and influence block matrices are built from
+them here. The baselines apply the block matrices as operators, and build the
+influence one only to check it, when W has a zero or a product rounds to 0 or inf.
 
 External interfaces (edge records, permutations) use 1-based node and layer
 indices, matching the common edge-list file convention. Everything stored on
@@ -149,6 +149,11 @@ class InfluenceMatrix:
         return cls(np.ones((L, L)))
 
 
+def _check_influence_side(net: MultiplexNetwork, W: InfluenceMatrix) -> None:
+    if W.L != net.L:
+        raise DimensionError(f"influence matrix side {W.L} does not match layer count {net.L}")
+
+
 @dataclass
 class ConnectivityDiagnostics:
     """Structural facts that decide which centralities are well defined.
@@ -258,9 +263,10 @@ def _check_omega(omega, L: int) -> np.ndarray:
 def _weighted_layer_sum(net: MultiplexNetwork, w) -> sp.csr_array:
     """sum_l w_l A_l over the layers whose weight is nonzero."""
     out = sp.csr_array((net.n, net.n))
-    for wl, A in zip(w, net.layers):
-        if wl != 0:
-            out = out + wl * A
+    with np.errstate(over="ignore"):  # the caller's validator reports an inf
+        for wl, A in zip(w, net.layers):
+            if wl != 0:
+                out = out + wl * A
     return sp.csr_array(out)
 
 
@@ -291,13 +297,13 @@ def khatri_rao_influence(net: MultiplexNetwork, W: InfluenceMatrix) -> sp.csr_ar
     block diagonal of the layers (reducible no matter how dense the layers
     are); with W = all-ones every block row repeats (A_1, ..., A_L).
     """
-    if W.L != net.L:
-        raise DimensionError(f"influence matrix side {W.L} does not match layer count {net.L}")
+    _check_influence_side(net, W)
     # an empty diagonal block where W[l, l] = 0 sizes block row and column l
-    blocks = [[W.W[l, k] * net.layers[k] if W.W[l, k] != 0
-               else (sp.csr_array((net.n, net.n)) if l == k else None)
-               for k in range(net.L)]
-              for l in range(net.L)]
+    with np.errstate(over="ignore"):  # the caller's validator reports an inf
+        blocks = [[W.W[l, k] * net.layers[k] if W.W[l, k] != 0
+                   else (sp.csr_array((net.n, net.n)) if l == k else None)
+                   for k in range(net.L)]
+                  for l in range(net.L)]
     return sp.csr_array(sp.block_array(blocks, format="csr"))
 
 

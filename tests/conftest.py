@@ -4,7 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import multicent
 from multicent import MultiplexNetwork, NodeLayerScores, build_network
+
+
+def child_env():
+    """The environment with this package's source first on PYTHONPATH, for
+    tests that run a child process."""
+    src = str(Path(multicent.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
 
 # ---------------------------------------------------------------------------
 # Canonical small networks

@@ -1,8 +1,7 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ import multicent.baselines
 from multicent import (
     DimensionError,
     InfluenceMatrix,
+    MultiplexNetwork,
     ValidationError,
     aggregate_degree_centrality,
     aggregate_eigenvector_centrality,
@@ -35,7 +35,12 @@ from multicent import (
 from multicent.baselines import PerronResult, _influence_operator, _supra_operator
 from multicent.network import _weighted_layer_sum
 
-from conftest import random_layerwise_connected_multiplex, random_sparse_multiplex
+from conftest import (
+    child_env,
+    random_layerwise_connected_multiplex,
+    random_positive_multiplex,
+    random_sparse_multiplex,
+)
 from oracles import global_het_on_matrix, perron_dense, versatility_on_matrix
 
 PATH_END = 0.3717
@@ -130,18 +135,33 @@ class TestMatrixPerron:
         # run and a stored layer, see the summed matrix; a child process, so that
         # a hang in the strong-component search fails this test instead of
         # stalling the suite
-        src = str(Path(multicent.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            src, os.environ.get("PYTHONPATH")])))
         try:
             out = subprocess.run(
                 [sys.executable, "-c", DUPLICATE_ENTRIES, json.dumps(data), json.dumps(summed)],
-                env=env, capture_output=True, text=True, check=True, timeout=60)
+                env=child_env(), capture_output=True, text=True, check=True, timeout=60)
         except subprocess.TimeoutExpired:
             pytest.fail("matrix_perron did not return on a CSR with a repeated column index")
         got, want = json.loads(out.stdout)
         assert got == want
         assert got[1] == layer
+
+
+PERRON_STEP_FAULTS = """
+import resource
+import sys
+from click.testing import CliRunner
+from multicent import InfluenceMatrix, build_network, global_heterogeneous_centrality
+from multicent.cli import main
+
+assert CliRunner().invoke(main, ["info", sys.argv[1]]).exit_code == 0  # sets the allocator
+n, L = 450, 37  # star layers: the iteration oscillates, so all 300 steps run
+net = build_network(n, L, [(l, 1, j, 1.0) for l in range(1, L + 1) for j in range(2, n + 1)])
+W = InfluenceMatrix.uniform(L)
+global_heterogeneous_centrality(net, W, max_iter=10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+global_heterogeneous_centrality(net, W, max_iter=300)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 DUPLICATE_ENTRIES = """
@@ -313,6 +333,70 @@ class TestGlobalHeterogeneous:
             global_heterogeneous_centrality(explanatory,
                                             InfluenceMatrix(np.zeros((2, 2))))
 
+    def test_flag_takes_the_built_pattern_when_products_underflow(self):
+        # 1e-300 * 1e-300 rounds to 0, so the built matrix drops edge {2, 3}
+        net = build_network(3, 1, [(1, 1, 2, 1.0), (1, 2, 3, 1e-300)])
+        W = InfluenceMatrix(np.array([[1e-300]]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multicent.baselines, "matrix_perron", _clean_perron)
+            assert global_heterogeneous_centrality(net, W).degenerate_warning
+            assert not global_heterogeneous_centrality(net, InfluenceMatrix.uniform(1)) \
+                .degenerate_warning
+
+    def test_integer_layers_match_float_layers(self):
+        A = [np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+             np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]])]
+        W = InfluenceMatrix.uniform(2)
+        got = global_heterogeneous_centrality(MultiplexNetwork(n=3, L=2, layers=A), W)
+        want = global_heterogeneous_centrality(
+            MultiplexNetwork(n=3, L=2, layers=[a.astype(float) for a in A]), W)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.column_degenerate == want.column_degenerate == (False, False)
+
+    def test_positive_influence_builds_no_block_matrix(self, monkeypatch):
+        rng = np.random.default_rng(157)
+        nets = [random_sparse_multiplex(rng, 9, 3), random_positive_multiplex(rng, 5, 3)]
+        want = [global_heterogeneous_centrality(net, InfluenceMatrix.uniform(3)) for net in nets]
+
+        def refuse(*args):
+            raise AssertionError("influence block matrix built")
+        monkeypatch.setattr(multicent.baselines, "khatri_rao_influence", refuse)
+        for net, ref in zip(nets, want):
+            gh = global_heterogeneous_centrality(net, InfluenceMatrix.uniform(3))
+            assert np.array_equal(gh.matrix, ref.matrix)
+            assert gh.column_degenerate == ref.column_degenerate
+        assert [ref.degenerate_warning for ref in want] == [True, False]
+
+    def test_memory_stays_below_the_block_matrix(self):
+        # every node has an edge in every layer, so the aggregate is checked too
+        n, L = 2500, 20
+        rng = np.random.default_rng(163)
+        edges = []
+        for layer in range(1, L + 1):
+            p = rng.permutation(n) + 1
+            edges += [(layer, int(a), int(b), 1.0) for a, b in zip(p, np.roll(p, 1))]
+        net = build_network(n, L, edges)
+        block_bytes = L * sum(A.nnz for A in net.layers) * 12
+        assert block_bytes > 20e6
+        tracemalloc.start()
+        try:
+            global_heterogeneous_centrality(net, InfluenceMatrix.uniform(L), max_iter=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes / 4
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts page faults")
+    def test_perron_steps_fault_in_no_fresh_pages(self, tmp_path):
+        """Under the CLI's allocator settings, 300 Perron steps on nL-vectors of
+        130 KiB fault in fewer than 2,000 pages; a step that maps its vectors
+        afresh faults in 66 or more."""
+        edges = tmp_path / "one.edges"
+        edges.write_text("1 1 2 1\n", encoding="utf-8")
+        out = subprocess.run([sys.executable, "-c", PERRON_STEP_FAULTS, str(edges)],
+                             env=child_env(), capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 2000
+
 
 class TestVersatility:
     def test_single_layer_reduces_to_perron_vector(self):
@@ -388,16 +472,22 @@ class TestAggregateDegreeCentrality:
 
 
 @st.composite
-def _multiplex_and_influence(draw):
-    """A small multiplex, possibly with one layer, empty layers and isolated
-    nodes, and an influence matrix with zero and repeated entries."""
+def _multiplex_and_influence(draw, entries=(0.0, 0.0, 1.0, 1.0, 0.3), edges_per_node=3):
+    """A small multiplex, possibly with one layer, empty layers, self-loops
+    and isolated nodes, and an influence matrix drawn from ``entries``."""
     n, L = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     edge = st.tuples(st.integers(1, L), st.integers(1, n), st.integers(1, n),
                      st.sampled_from((0.5, 1.0, 2.0, 3.7)))
-    net = build_network(n, L, draw(st.lists(edge, max_size=3 * n)))
-    entry = st.sampled_from((0.0, 0.0, 1.0, 1.0, 0.3))
+    net = build_network(n, L, draw(st.lists(edge, max_size=edges_per_node * n)))
+    entry = st.sampled_from(entries)
     W = draw(st.lists(st.lists(entry, min_size=L, max_size=L), min_size=L, max_size=L))
     return net, InfluenceMatrix(np.array(W))
+
+
+def _clean_perron(M, **kw):
+    """A loop that reports a clean run, so a result's flag is the structural one."""
+    return PerronResult(value=1.0, vector=np.full(M.shape[0], 1.0 / M.shape[0]),
+                        converged=True, degenerate_warning=False, iterations=1)
 
 
 def _close(new, ref):
@@ -440,13 +530,24 @@ class TestBlockOperators:
         assert (not connectivity(net).aggregate_connected) == (ncomp > 1)
         if net.L == 1 and net.layers[0].nnz == 0:
             return
-        # a loop that reports a clean run leaves the structural flag alone
-        def clean(M, **kw):
-            return PerronResult(value=1.0, vector=np.full(M.shape[0], 1.0 / M.shape[0]),
-                                converged=True, degenerate_warning=False, iterations=1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(multicent.baselines, "matrix_perron", clean)
+            mp.setattr(multicent.baselines, "matrix_perron", _clean_perron)
             assert versatility_centrality(net).degenerate_warning == (ncomp > 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_multiplex_and_influence(entries=(0.3, 1.0, 2.5), edges_per_node=8))
+    def test_global_het_flag_is_block_matrix_reducibility(self, case):
+        net, W = case
+        K = khatri_rao_influence(net, W)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multicent.baselines, "matrix_perron", _clean_perron)
+            if K.nnz == 0:
+                with pytest.raises(ValidationError, match="identically zero"):
+                    global_heterogeneous_centrality(net, W)
+                return
+            ncomp, _ = connected_components(K, directed=True, connection="strong")
+            gh = global_heterogeneous_centrality(net, W)
+        assert gh.column_degenerate == (ncomp > 1,) * net.L
 
     @settings(max_examples=100, deadline=None)
     @given(case=_multiplex_and_influence())
@@ -475,6 +576,13 @@ class TestBlockOperators:
         (lambda net: global_heterogeneous_centrality(
             build_network(2, 1, [(1, 1, 2, 1e10)]), InfluenceMatrix(np.array([[1e300]]))),
          ValidationError, "influence block matrix has non-finite entries"),
+        (lambda net: global_heterogeneous_centrality(build_network(3, 3, []),
+                                                     InfluenceMatrix.uniform(3)),
+         ValidationError, "influence block matrix is identically zero"),
+        # every product rounds to 0, as in the built matrix
+        (lambda net: global_heterogeneous_centrality(
+            build_network(2, 1, [(1, 1, 2, 1e-300)]), InfluenceMatrix(np.array([[1e-300]]))),
+         ValidationError, "influence block matrix is identically zero"),
         (lambda net: matrix_perron(np.array([[0.0, np.inf], [np.inf, 0.0]])),
          ValidationError, "matrix has non-finite entries"),
         (lambda net: versatility_centrality(build_network(3, 1, [])),

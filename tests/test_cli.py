@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -11,8 +10,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import multicent
 from multicent.cli import main
+
+from conftest import child_env
 
 
 @pytest.fixture
@@ -417,6 +417,22 @@ class TestExitCodes:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--measure", "agg_eig", "--omega", "1e300"], "matrix has non-finite entries"),
+        (["--measure", "local_het", "--influence", "W"], "matrix has non-finite entries"),
+        (["--measure", "global_het", "--influence", "W"],
+         "influence block matrix has non-finite entries"),
+    ], ids=["agg_eig", "local_het", "global_het"])
+    def test_overflowing_weights_exit_2_with_one_line(self, tmp_path, argv, message):
+        # a child process, so that stderr holds every warning the user would see
+        (tmp_path / "W").write_text("1e300\n", encoding="utf-8")
+        (tmp_path / "big.edges").write_text("1 1 2 1e10\n", encoding="utf-8")
+        res = subprocess.run([sys.executable, "-m", "multicent.cli", "baseline", "big.edges",
+                              *argv], cwd=tmp_path, env=child_env(), capture_output=True,
+                             text=True)
+        assert res.returncode == 2
+        assert res.stderr == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["compare", "--measures", "foo"],
         ["centrality", "--alpha-list", "2.1,x"],
@@ -457,9 +473,6 @@ print(rss_kb() - before)
 def test_freed_large_array_goes_back_to_the_system(explanatory_file):
     """After a command, a second 16 MiB array is still unmapped when freed
     instead of staying resident in the heap."""
-    src = str(Path(multicent.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", FREED_ARRAY_RSS_KB, str(explanatory_file)],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=child_env(), capture_output=True, text=True, check=True)
     assert int(out.stdout) < 4096
