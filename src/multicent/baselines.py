@@ -3,12 +3,14 @@
 Every measure here reduces node scoring to the Perron vector of some
 non-negative matrix assembled from the layers: per-layer adjacency
 matrices, the aggregate, influence-weighted layer mixtures, the
-influence-weighted block matrix, or the supra-adjacency matrix (these two
-are applied as operators; the first is built, only to check it, when W has a
-zero or a product rounds to 0 or inf). They share one plain power-method
-routine (uniform start, 1-norm normalization, no shifts or deflation) and
-a common failure mode: on reducible matrices the dominant eigenvector is
-not unique, so the score depends on the start.
+influence-weighted block matrix, or the supra-adjacency matrix. The last two
+are applied as operators. The block matrix is built, only to check it, when
+W has a zero or a product rounds to 0 or inf; when all rows of W are equal
+it is not iterated on at all, because one layer mixture gives every column.
+They share one plain power-method routine (uniform start, 1-norm
+normalization, no shifts or deflation) and a common failure mode: on
+reducible matrices the dominant eigenvector need not be unique, so the score
+may depend on the start.
 That situation is detected and reported as ``degenerate_warning`` instead
 of raising, because these measures are routinely computed on disconnected
 data anyway; consumers decide how much to trust a flagged score.
@@ -32,8 +34,8 @@ from .network import (
     _check_omega,
     _nonnegative_csr,
     _weighted_layer_sum,
+    aggregate_connected,
     aggregate_matrix,
-    connectivity,
     khatri_rao_influence,
     supra_adjacency,  # noqa: F401  the built matrix the supra operator applies
 )
@@ -48,9 +50,12 @@ class PerronResult:
     """Dominant eigenpair estimate from the power method.
 
     ``degenerate_warning`` is set when the matrix's graph is not strongly
-    connected (the eigenvector is provably not unique) or when the residual
-    plateaus above tolerance for a long window, which is the behavioral
-    signature of a non-simple or non-dominant peripheral eigenvalue.
+    connected or when the residual plateaus above tolerance for a long
+    window, which is the behavioral signature of a non-simple or non-dominant
+    peripheral eigenvalue. The first is a structural warning, not a proof of
+    non-uniqueness: for a symmetric matrix the Perron vector is unique exactly
+    when one connected component attains the spectral radius, which a
+    disconnected graph may still satisfy.
     """
 
     value: float
@@ -82,9 +87,22 @@ class ScoreResult:
     degenerate_warning: bool
 
 
+def _product_into(B, out: np.ndarray):
+    """x -> B @ x for a CSR ``B``, written into ``out`` and returned. A Perron
+    step then maps no fresh vector, whose pages would all fault in again at
+    every step once the vector outgrows the heap."""
+    data, flat = B.data.astype(out.dtype, copy=False), out.reshape(-1)  # cast once
+
+    def product(x):
+        out.fill(0)  # csr_matvec adds B @ x to out
+        csr_matvec(*B.shape, B.indptr, B.indices, data, x, flat)
+        return out
+    return product
+
+
 def _checked_matrix(M, what: str = "matrix") -> tuple[sp.csr_array, bool]:
     """``M`` validated as a canonical CSR without stored zeros, and whether its
-    graph is not strongly connected (its Perron vector is then not unique)."""
+    graph is not strongly connected (its Perron vector may then not be unique)."""
     M = _nonnegative_csr(M, what)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {M.shape}")
@@ -108,8 +126,11 @@ def matrix_perron(M, tol: float = PERRON_TOL,
     plateau and nilpotent cases, and the caller adds the structural one.
     """
     degenerate = False
-    if not isinstance(M, LinearOperator):
+    if isinstance(M, LinearOperator):
+        product = M.matvec
+    else:
         M, degenerate = _checked_matrix(M)
+        product = _product_into(M, np.empty(M.shape[0], np.result_type(M.dtype, float)))
 
     n = M.shape[0]
     v, r = np.full(n, 1.0 / n), np.empty(n)  # each step overwrites both
@@ -119,7 +140,7 @@ def matrix_perron(M, tol: float = PERRON_TOL,
     iterations = 0
     for k in range(1, max_iter + 1):
         iterations = k
-        w = M @ v
+        w = product(v)
         total = w.sum()
         if total == 0:
             # v is an exact eigenvector for eigenvalue 0 (nilpotent direction)
@@ -164,16 +185,8 @@ def _perron_columns(net, matrices, which, measure_name, tol, max_iter) -> Centra
 def _layer_products(net: MultiplexNetwork):
     """The block-diagonal product x -> [A_k x_k]_k, as an (L, n) array that
     each call overwrites. The block operators below also return buffers of
-    their own, so a Perron step maps no fresh nL-vector, whose pages would all
-    fault in again at every step."""
-    B = sp.block_diag(net.layers, format="csr")
-    P = np.empty((net.L, net.n))
-
-    def products(x):
-        P.fill(0.0)  # csr_matvec adds B @ x to P
-        csr_matvec(*B.shape, B.indptr, B.indices, B.data, x, P.ravel())
-        return P
-    return products
+    their own, so a Perron step maps no fresh nL-vector."""
+    return _product_into(sp.block_diag(net.layers, format="csr"), np.empty((net.L, net.n)))
 
 
 def _supra_operator(net: MultiplexNetwork) -> LinearOperator:
@@ -252,7 +265,7 @@ def _influence_reducible(net: MultiplexNetwork, W: InfluenceMatrix) -> bool:
             high = W.W[:, used].max(axis=0) * [net.layers[k].data.max() for k in used]
         if np.all(low > 0) and np.all(np.isfinite(high)):
             return (any(np.any(np.diff(A.indptr) == 0) for A in net.layers)
-                    or not connectivity(net).aggregate_connected)
+                    or not aggregate_connected(net))
     return _checked_matrix(khatri_rao_influence(net, W), "influence block matrix")[1]
 
 
@@ -261,13 +274,23 @@ def global_heterogeneous_centrality(net: MultiplexNetwork, W: InfluenceMatrix,
                                     max_iter: int = PERRON_MAX_ITER) -> CentralityMatrix:
     """Perron vector of the influence block matrix, reshaped to one column per layer.
 
-    The matrix is applied as ``W @ [A_k v_k]_k``. It is built, only to check
-    it, when ``W`` has a zero, the network no edge, or a product with a weight
-    rounds to 0 or overflows.
+    When every row of ``W`` is the same ``b`` (``W = 1 b^T``, as for the
+    all-ones ``W``), each block of the power iterate on the block matrix is
+    the iterate on the n-by-n layer mixture ``sum_k b_k A_k`` divided by L,
+    and so is its residual. That mixture is then solved once, to ``tol * L``,
+    and its vector fills every column: the same stopping step, iteration
+    count and flags. Otherwise the block matrix is applied as
+    ``W @ [A_k v_k]_k``. It is built, only to check it, when ``W`` has a
+    zero, the network no edge, or a product with a weight rounds to 0 or
+    overflows.
     """
     reducible = _influence_reducible(net, W)
-    pr = matrix_perron(_influence_operator(net, W), tol=tol, max_iter=max_iter)
-    cols = np.column_stack([_normalized(f) for f in pr.vector.reshape(net.L, net.n)])
+    if np.all(W.W == W.W[0]):
+        pr = matrix_perron(_weighted_layer_sum(net, W.W[0]), tol=tol * net.L, max_iter=max_iter)
+        cols = np.repeat(pr.vector[:, None], net.L, axis=1)
+    else:
+        pr = matrix_perron(_influence_operator(net, W), tol=tol, max_iter=max_iter)
+        cols = np.column_stack([_normalized(f) for f in pr.vector.reshape(net.L, net.n)])
     flag = pr.degenerate_warning or reducible or not pr.converged
     return CentralityMatrix(matrix=cols, measure_name="global_het",
                             column_degenerate=(flag,) * net.L)
@@ -289,7 +312,7 @@ def versatility_centrality(net: MultiplexNetwork, omega=None,
         raise ValidationError("matrix is identically zero")
     pr = matrix_perron(_supra_operator(net), tol=tol, max_iter=max_iter)
     F = pr.vector.reshape(net.L, net.n).T
-    reducible = not connectivity(net).aggregate_connected
+    reducible = not aggregate_connected(net)
     return ScoreResult(measure_name="eig_ver", scores=_normalized(F @ w),
                        degenerate_warning=pr.degenerate_warning or reducible or not pr.converged)
 

@@ -307,16 +307,19 @@ def khatri_rao_influence(net: MultiplexNetwork, W: InfluenceMatrix) -> sp.csr_ar
     return sp.csr_array(sp.block_array(blocks, format="csr"))
 
 
+def aggregate_connected(net: MultiplexNetwork) -> bool:
+    """Whether the aggregate graph, with an edge wherever a layer has one, is connected."""
+    return bool(connected_components(aggregate_matrix(net, None), directed=False)[0] == 1)
+
+
 def connectivity(net: MultiplexNetwork) -> ConnectivityDiagnostics:
     """Connectedness of each layer and of the aggregate, plus degenerate index sets."""
     layer_conn = [bool(connected_components(A, directed=False)[0] == 1) for A in net.layers]
-    agg = aggregate_matrix(net, np.ones(net.L))
-    ncomp_agg, _ = connected_components(agg, directed=False)
     isolated = tuple(int(i) for i in np.flatnonzero(net.node_strengths == 0))
     empty = tuple(l for l, A in enumerate(net.layers) if A.nnz == 0)
     return ConnectivityDiagnostics(
         layer_connected=tuple(layer_conn),
-        aggregate_connected=bool(ncomp_agg == 1),
+        aggregate_connected=aggregate_connected(net),
         isolated_nodes=isolated,
         empty_layers=empty,
     )

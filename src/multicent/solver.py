@@ -283,6 +283,14 @@ def node_layer_centrality(net: MultiplexNetwork, params: SolverParams,
     return NodeLayerScores(x=x, t=t), report
 
 
+def _log_ratio(v: np.ndarray) -> float:
+    """ln(max v / min v) of a positive vector, from the logarithms when the
+    quotient overflows."""
+    with np.errstate(over="ignore"):
+        q = v.max() / v.min()
+    return math.log(q) if np.isfinite(q) else math.log(v.max()) - math.log(v.min())
+
+
 def iteration_bound(net: MultiplexNetwork, alpha: float, beta: float,
                     eps: float) -> IterationBound:
     """Smallest k certifying max-norm error <= eps from the uniform start.
@@ -309,10 +317,7 @@ def iteration_bound(net: MultiplexNetwork, alpha: float, beta: float,
         raise ValidationError("network has no edges")
     r = net.node_strengths
     s = net.layer_strengths
-    r_sup = r[r > 0]
-    s_sup = s[s > 0]
-    C = (cdata.rho * math.log(r_sup.max() / r_sup.min())
-         + (1.0 / beta) * math.log(s_sup.max() / s_sup.min()))
+    C = cdata.rho * _log_ratio(r[r > 0]) + (1.0 / beta) * _log_ratio(s[s > 0])
     if C == 0:
         return IterationBound(k=0, C=0.0, rho=cdata.rho, uniform_start_exact=True)
     k = math.ceil((math.log((1 - cdata.rho) * eps) - math.log(C)) / math.log(cdata.rho))

@@ -3,9 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import multicent
 from multicent import MultiplexNetwork, NodeLayerScores, build_network
+
+# ``pytest --hypothesis-profile=thorough`` draws ten times as many examples
+settings.register_profile("thorough", max_examples=10 * settings.default.max_examples)
+
+
+def examples(count):
+    """A test's own example count, scaled like the active profile's default."""
+    return count * settings.default.max_examples // settings.get_profile("default").max_examples
 
 
 def child_env():

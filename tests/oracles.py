@@ -2,15 +2,25 @@
 
 Everything here works with explicit loops, dense tensors or einsum and
 never touches the package's code paths, so agreement between the two
-routes is meaningful. The two exceptions are the matrix baselines at the
-end, which run the package's power method on the built supra-adjacency and
-influence block matrices, as a reference for the operators that replace them.
+routes is meaningful. The exceptions are at the end: the power method as it
+ran with a fresh ``M @ v`` per step, a reference for the buffered one, and the
+matrix baselines, which run the package's power method on the built
+supra-adjacency and influence block matrices, as a reference for the
+operators that replace them.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from multicent import ValidationError, khatri_rao_influence, matrix_perron, supra_adjacency
+from multicent.baselines import (
+    PERRON_MAX_ITER,
+    PERRON_TOL,
+    PLATEAU_WINDOW,
+    PerronResult,
+    _checked_matrix,
+)
 
 
 def dense_tensor(net):
@@ -153,6 +163,45 @@ def load_edges_loop(text, n=None, L=None, symmetrize="mirror"):
     layers = [sp.coo_array((vals[l], (rows[l], cols[l])), shape=(n, n)).tocsr()
               for l in range(L)]
     return layers, messages
+
+
+def perron_reference(M, tol: float = PERRON_TOL,
+                     max_iter: int = PERRON_MAX_ITER) -> PerronResult:
+    """``matrix_perron`` with a fresh ``M @ v`` at every step."""
+    degenerate = False
+    if not isinstance(M, LinearOperator):
+        M, degenerate = _checked_matrix(M)
+
+    n = M.shape[0]
+    v, r = np.full(n, 1.0 / n), np.empty(n)  # each step overwrites both
+    residuals: list[float] = []
+    value = 0.0
+    converged = False
+    iterations = 0
+    for k in range(1, max_iter + 1):
+        iterations = k
+        w = M @ v
+        total = w.sum()
+        if total == 0:
+            # v is an exact eigenvector for eigenvalue 0 (nilpotent direction)
+            value = 0.0
+            converged = True
+            degenerate = True
+            break
+        value = float(v @ w / (v @ v))
+        np.subtract(w, np.multiply(v, value, out=r), out=r)  # w - value * v
+        res = float(np.abs(r, out=r).max())
+        residuals.append(res)
+        if res <= tol * value:
+            converged = True
+            break
+        if (len(residuals) > PLATEAU_WINDOW
+                and res > tol * value
+                and res > 0.99 * residuals[-PLATEAU_WINDOW - 1]):
+            degenerate = True
+        v = np.divide(w, total, out=v)
+    return PerronResult(value=value, vector=v, converged=converged,
+                        degenerate_warning=degenerate, iterations=iterations)
 
 
 def versatility_on_matrix(net, **perron):

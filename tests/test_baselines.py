@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -32,16 +33,23 @@ from multicent import (
     supra_adjacency,
     versatility_centrality,
 )
-from multicent.baselines import PerronResult, _influence_operator, _supra_operator
+from multicent.baselines import (
+    PerronResult,
+    _influence_operator,
+    _influence_reducible,
+    _normalized,
+    _supra_operator,
+)
 from multicent.network import _weighted_layer_sum
 
 from conftest import (
     child_env,
+    examples,
     random_layerwise_connected_multiplex,
     random_positive_multiplex,
     random_sparse_multiplex,
 )
-from oracles import global_het_on_matrix, perron_dense, versatility_on_matrix
+from oracles import global_het_on_matrix, perron_dense, perron_reference, versatility_on_matrix
 
 PATH_END = 0.3717
 PATH_MID = 0.6015
@@ -145,23 +153,56 @@ class TestMatrixPerron:
         assert got == want
         assert got[1] == layer
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts page faults")
+    def test_steps_fault_in_no_fresh_pages(self, tmp_path):
+        """Under the CLI's allocator settings, 300 Perron steps on a built
+        matrix with n-vectors of 156 KiB fault in fewer than 2,000 pages; a
+        step that maps its product afresh faults in 39 or more."""
+        assert _step_faults(MATRIX_STEP_FAULTS, tmp_path) < 2000
 
-PERRON_STEP_FAULTS = """
+
+def _step_faults(script, tmp_path) -> int:
+    """The page faults that ``script`` prints, run in a child process after a
+    CLI command has set the allocator."""
+    edges = tmp_path / "one.edges"
+    edges.write_text("1 1 2 1\n", encoding="utf-8")
+    out = subprocess.run([sys.executable, "-c", script, str(edges)],
+                         env=child_env(), capture_output=True, text=True, check=True)
+    return int(out.stdout)
+
+
+_FAULTS_AROUND = """
 import resource
 import sys
+import numpy as np
 from click.testing import CliRunner
-from multicent import InfluenceMatrix, build_network, global_heterogeneous_centrality
 from multicent.cli import main
 
 assert CliRunner().invoke(main, ["info", sys.argv[1]]).exit_code == 0  # sets the allocator
-n, L = 450, 37  # star layers: the iteration oscillates, so all 300 steps run
-net = build_network(n, L, [(l, 1, j, 1.0) for l in range(1, L + 1) for j in range(2, n + 1)])
-W = InfluenceMatrix.uniform(L)
-global_heterogeneous_centrality(net, W, max_iter=10)
+{setup}
+run(max_iter=10)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-global_heterogeneous_centrality(net, W, max_iter=300)
+run(max_iter=300)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+# star layers: the iteration oscillates, so all 300 steps run
+PERRON_STEP_FAULTS = _FAULTS_AROUND.format(setup="""
+from multicent import InfluenceMatrix, build_network, global_heterogeneous_centrality
+n, L = 450, 37
+net = build_network(n, L, [(l, 1, j, 1.0) for l in range(1, L + 1) for j in range(2, n + 1)])
+W = InfluenceMatrix(np.ones((L, L)) + np.eye(L))  # unequal rows: the block operator
+def run(max_iter):
+    global_heterogeneous_centrality(net, W, max_iter=max_iter)
+""")
+
+MATRIX_STEP_FAULTS = _FAULTS_AROUND.format(setup="""
+from multicent import build_network, matrix_perron
+n = 20_000
+A = build_network(n, 1, [(1, 1, j, 1.0) for j in range(2, n + 1)]).layers[0]
+def run(max_iter):
+    matrix_perron(A, max_iter=max_iter)
+""")
 
 
 DUPLICATE_ENTRIES = """
@@ -346,12 +387,13 @@ class TestGlobalHeterogeneous:
     def test_integer_layers_match_float_layers(self):
         A = [np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
              np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]])]
-        W = InfluenceMatrix.uniform(2)
-        got = global_heterogeneous_centrality(MultiplexNetwork(n=3, L=2, layers=A), W)
-        want = global_heterogeneous_centrality(
-            MultiplexNetwork(n=3, L=2, layers=[a.astype(float) for a in A]), W)
-        assert np.array_equal(got.matrix, want.matrix)
-        assert got.column_degenerate == want.column_degenerate == (False, False)
+        # equal rows take the layer mixture, unequal rows the block operator
+        for W in (InfluenceMatrix.uniform(2), InfluenceMatrix(np.ones((2, 2)) + np.eye(2))):
+            got = global_heterogeneous_centrality(MultiplexNetwork(n=3, L=2, layers=A), W)
+            want = global_heterogeneous_centrality(
+                MultiplexNetwork(n=3, L=2, layers=[a.astype(float) for a in A]), W)
+            assert np.array_equal(got.matrix, want.matrix)
+            assert got.column_degenerate == want.column_degenerate == (False, False)
 
     def test_positive_influence_builds_no_block_matrix(self, monkeypatch):
         rng = np.random.default_rng(157)
@@ -378,9 +420,10 @@ class TestGlobalHeterogeneous:
         net = build_network(n, L, edges)
         block_bytes = L * sum(A.nnz for A in net.layers) * 12
         assert block_bytes > 20e6
+        W = InfluenceMatrix(np.ones((L, L)) + np.eye(L))  # unequal rows: the block operator
         tracemalloc.start()
         try:
-            global_heterogeneous_centrality(net, InfluenceMatrix.uniform(L), max_iter=5)
+            global_heterogeneous_centrality(net, W, max_iter=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,11 +434,7 @@ class TestGlobalHeterogeneous:
         """Under the CLI's allocator settings, 300 Perron steps on nL-vectors of
         130 KiB fault in fewer than 2,000 pages; a step that maps its vectors
         afresh faults in 66 or more."""
-        edges = tmp_path / "one.edges"
-        edges.write_text("1 1 2 1\n", encoding="utf-8")
-        out = subprocess.run([sys.executable, "-c", PERRON_STEP_FAULTS, str(edges)],
-                             env=child_env(), capture_output=True, text=True, check=True)
-        assert int(out.stdout) < 2000
+        assert _step_faults(PERRON_STEP_FAULTS, tmp_path) < 2000
 
 
 class TestVersatility:
@@ -507,10 +546,84 @@ def _same_order(new, ref):
 _PERRON = {"max_iter": 300}
 
 
+@st.composite
+def _nonnegative_matrices(draw):
+    """A small non-negative square matrix with integer or float entries, of
+    any pattern or symmetric, bipartite or nilpotent (strictly upper
+    triangular), as an array, a CSR or a CSR storing each entry twice."""
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from((0, 0, 0, 1, 2, 7))
+    D = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("any", "symmetric", "bipartite", "nilpotent")))
+    if kind == "symmetric":
+        D = D + D.T
+    elif kind == "bipartite":
+        side = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        D = (D + D.T) * (side[:, None] != side)
+    elif kind == "nilpotent":
+        D = np.triu(D, 1)
+    if draw(st.booleans()):
+        D = D * 0.37
+    form = draw(st.sampled_from(("array", "csr", "stored twice")))
+    if form == "array":
+        return D
+    if form == "csr":
+        return sp.csr_array(D)
+    i, j = np.nonzero(D)
+    order = np.argsort(np.concatenate((i, i)), kind="stable")  # each row's columns, twice
+    indptr = np.concatenate(([0], np.cumsum(2 * np.bincount(i, minlength=n))))
+    return sp.csr_array((np.concatenate((D[i, j], D[i, j]))[order],
+                         np.concatenate((j, j))[order], indptr), shape=(n, n))
+
+
+class TestBufferedSteps:
+    """The Perron loop's buffered product, and global_het's one mixture solve
+    for equal influence rows, against the routes they replace."""
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(M=_nonnegative_matrices(), max_iter=st.sampled_from((1, 60, 400)))
+    def test_matrix_perron_matches_the_reference_bit_for_bit(self, M, max_iter):
+        if not np.any(M.toarray() if sp.issparse(M) else M):
+            for perron in (perron_reference, matrix_perron):
+                with pytest.raises(ValidationError, match="matrix is identically zero"):
+                    perron(M, max_iter=max_iter)
+            return
+        got, want = matrix_perron(M, max_iter=max_iter), perron_reference(M, max_iter=max_iter)
+        assert (got.value, got.converged, got.degenerate_warning, got.iterations) == \
+            (want.value, want.converged, want.degenerate_warning, want.iterations)
+        assert np.array_equal(got.vector, want.vector)
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(case=_multiplex_and_influence())
+    def test_equal_influence_rows_solve_one_mixture(self, case):
+        net, drawn = case
+        equal = InfluenceMatrix(np.tile(drawn.W[0], (net.L, 1)))  # W = 1 b^T, b may have zeros
+        for W in (equal, drawn):
+            if khatri_rao_influence(net, W).nnz == 0:
+                continue
+            op = matrix_perron(_influence_operator(net, W), **_PERRON)
+            want = np.column_stack([_normalized(f) for f in op.vector.reshape(net.L, net.n)])
+            runs = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(multicent.baselines, "matrix_perron",
+                           lambda *a, **kw: runs.append(matrix_perron(*a, **kw)) or runs[-1])
+                gh = global_heterogeneous_centrality(net, W, **_PERRON)
+            (pr,) = runs
+            assert (pr.converged, pr.iterations) == (op.converged, op.iterations)
+            flag = op.degenerate_warning or _influence_reducible(net, W) or not op.converged
+            assert gh.column_degenerate == (flag,) * net.L
+            if np.all(W.W == W.W[0]):
+                assert pr.vector.shape == (net.n,)
+                for new, ref in zip(gh.matrix.T, want.T):
+                    _close(new, ref)
+            else:
+                assert np.array_equal(gh.matrix, want)
+
+
 class TestBlockOperators:
     """The supra and influence operators against the matrices they replace."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(case=_multiplex_and_influence(), seed=st.integers(0, 2**16))
     def test_operators_match_built_matrices(self, case, seed):
         net, W = case
@@ -521,7 +634,7 @@ class TestBlockOperators:
             np.testing.assert_allclose(op @ x, want, rtol=0,
                                        atol=1e-12 * max(np.abs(want).max(), 1.0))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(case=_multiplex_and_influence())
     def test_versatility_flag_is_supra_reducibility(self, case):
         net, _ = case
@@ -534,7 +647,7 @@ class TestBlockOperators:
             mp.setattr(multicent.baselines, "matrix_perron", _clean_perron)
             assert versatility_centrality(net).degenerate_warning == (ncomp > 1)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(case=_multiplex_and_influence(entries=(0.3, 1.0, 2.5), edges_per_node=8))
     def test_global_het_flag_is_block_matrix_reducibility(self, case):
         net, W = case
@@ -549,7 +662,7 @@ class TestBlockOperators:
             gh = global_heterogeneous_centrality(net, W)
         assert gh.column_degenerate == (ncomp > 1,) * net.L
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(case=_multiplex_and_influence())
     def test_scores_match_perron_on_built_matrices(self, case):
         net, W = case

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from multicent.cli import main
 
-from conftest import child_env
+from conftest import child_env, examples
 
 
 @pytest.fixture
@@ -296,7 +296,7 @@ class TestInfo:
 # -- exit-code contract: every input ends in 0, 2 or 3, never in a traceback
 
 _edge = st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
-                  st.sampled_from(["", " 1", " 2.5", " 0.5"]))
+                  st.sampled_from(["", " 1", " 2.5", " 0.5", " 1e-320", " 1e200", " 1e-200"]))
 _list_tokens = st.lists(st.sampled_from(["2.1", "3", "1", "x", "", "-1", "inf"]),
                         min_size=1, max_size=3).map(",".join)
 _measure_names = st.sampled_from(["nonlinear", "eig_ver", "eig_cen", "agg_eig", "agg_deg",
@@ -333,7 +333,7 @@ def _argv(draw, d):
 
 
 class TestExitCodes:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(data=st.data())
     def test_every_input_exits_0_2_or_3(self, data):
         with tempfile.TemporaryDirectory() as tmp:
@@ -432,6 +432,18 @@ class TestExitCodes:
                              text=True)
         assert res.returncode == 2
         assert res.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edges", ["1 1 2 1e-320\n1 2 3 1\n", "1 1 2 1e200\n1 2 3 1e-200\n"],
+                             ids=["subnormal", "1e400-apart"])
+    def test_overflowing_strength_ratio_exits_0(self, tmp_path, edges):
+        # the ratio of the largest to the smallest node strength is not a finite float
+        (tmp_path / "ratio.edges").write_text(edges, encoding="utf-8")
+        for argv in (["bound"], ["centrality", "-o", "c"], ["compare", "-o", "m"]):
+            res = subprocess.run([sys.executable, "-m", "multicent.cli", argv[0], "ratio.edges",
+                                  *argv[1:]], cwd=tmp_path, env=child_env(),
+                                 capture_output=True, text=True)
+            assert res.returncode == 0, (argv, res.stderr)
+            assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--measures", "foo"],

@@ -22,7 +22,7 @@ from multicent import (
 from multicent import io as mio
 from multicent.io import SYMMETRIZE_POLICIES
 
-from conftest import make_explanatory, random_sparse_multiplex
+from conftest import examples, make_explanatory, random_sparse_multiplex
 from oracles import load_edges_loop
 
 
@@ -200,7 +200,7 @@ def _edge_text(draw):
 
 
 class TestLoaderMatchesReference:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(case=_edge_text())
     def test_same_layers_warnings_and_errors(self, case):
         text, n, L = case
@@ -298,7 +298,7 @@ def _parse_outcome(text):
 
 
 class TestVectorizedParseMatchesLineLoop:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=examples(500), deadline=None)
     @given(text=_numeric_text())
     @_with_examples(_PROBED)
     def test_same_records_or_same_error(self, text):

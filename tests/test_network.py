@@ -19,7 +19,7 @@ from multicent import (
 from multicent.baselines import _checked_matrix
 from multicent.network import group_pairs
 
-from conftest import random_sparse_multiplex
+from conftest import examples, random_sparse_multiplex
 from oracles import perron_dense
 
 # The two routes to the one non-negative CSR validator, each with the name that
@@ -152,7 +152,7 @@ _KEY_EDGE_N = 3_037_000_499
 
 
 class TestGroupPairs:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(data=st.data())
     def test_key_sort_and_column_fallback_agree(self, data):
         n, L = data.draw(st.sampled_from([(6, 3), (_KEY_EDGE_N, 1), (_KEY_EDGE_N, 2)]))
@@ -190,7 +190,7 @@ def _raw_layer(draw):
 
 
 class TestSymmetryCheck:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(A=_raw_layer())
     def test_matches_sparse_inequality_reference(self, A):
         want = None if (A.copy() != A.copy().T).nnz == 0 else \
@@ -419,7 +419,7 @@ class TestPermute:
         with pytest.raises(ValidationError):
             permute(explanatory, [1, 2, 3, 4], [2, 2])
 
-    @settings(deadline=None, max_examples=25)
+    @settings(deadline=None, max_examples=examples(25))
     @given(seed=st.integers(0, 10_000))
     def test_entries_follow_the_permutation(self, seed):
         rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from multicent import (
     rank,
 )
 
-from conftest import make_explanatory, random_positive_multiplex
+from conftest import examples, make_explanatory, random_positive_multiplex
 from oracles import isim_bruteforce
 
 
@@ -41,7 +41,7 @@ class TestRank:
         pos = r.positions()
         np.testing.assert_array_equal(pos[r.order], np.arange(3))
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=examples(40))
     @given(seed=st.integers(0, 10_000), c=st.floats(1e-6, 1e6))
     def test_invariant_under_positive_rescaling(self, seed, c):
         rng = np.random.default_rng(seed)
@@ -68,7 +68,7 @@ class TestPearson:
         with pytest.raises(ValidationError):
             pearson([1.0], [2.0])
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=examples(40))
     @given(seed=st.integers(0, 10_000), a=st.floats(0.01, 100),
            b=st.floats(-50, 50))
     def test_invariant_under_positive_affine_maps(self, seed, a, b):
@@ -124,7 +124,7 @@ class TestIntersectionSimilarity:
                         assert intersection_similarity(r1, r2, K) == pytest.approx(
                             isim_bruteforce(p1, p2, K), abs=1e-14)
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=examples(60))
     @given(seed=st.integers(0, 100_000), m=st.integers(2, 8))
     def test_matches_bruteforce_sampled_and_bounded(self, seed, m):
         from multicent import Ranking
@@ -143,7 +143,7 @@ class TestIsimClosedForm:
     """The closed form divides the same integers as the prefix-set oracle and
     adds the terms in the same order, so the two agree exactly."""
 
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=examples(200))
     @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 30), n2=st.integers(1, 30))
     def test_equals_oracle_on_prefixes_of_different_lengths(self, seed, n1, n2):
         rng = np.random.default_rng(seed)
@@ -153,7 +153,7 @@ class TestIsimClosedForm:
         for K in range(1, min(n1, n2) + 1):
             assert intersection_similarity(r1, r2, K) == isim_bruteforce(r1.order, r2.order, K)
 
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=examples(200))
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
     def test_curve_is_running_mean_of_oracle_terms(self, seed, n):
         rng = np.random.default_rng(seed)

@@ -27,6 +27,7 @@ from multicent import (
 )
 
 from conftest import (
+    examples,
     make_explanatory,
     make_ratio_e_net,
     random_positive_multiplex,
@@ -111,7 +112,7 @@ class TestContractionFactor:
         with pytest.raises(ParameterDomainError):
             SolverParams(alpha=1.1, beta=20.0)
 
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None, max_examples=examples(100))
     @given(alpha=st.floats(0.2, 20), beta=st.floats(0.2, 20))
     def test_below_one_iff_gate_holds(self, alpha, beta):
         cd = contraction_factor(alpha, beta)
@@ -168,7 +169,7 @@ class TestUpdateMap:
         np.testing.assert_allclose(scores.x, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(scores.t, [1.0], rtol=0)
 
-    @settings(deadline=None, max_examples=30)
+    @settings(deadline=None, max_examples=examples(30))
     @given(c=st.floats(1e-3, 1e3), c2=st.floats(1e-3, 1e3))
     def test_normalized_update_scale_invariant(self, c, c2):
         net = make_explanatory()
@@ -359,7 +360,7 @@ class TestHilbertMetric:
         assert hilbert_distance(x, x) == 0.0
         assert hilbert_distance(x, np.array([2.0, 1.0])) == pytest.approx(np.log(4))
 
-    @settings(deadline=None, max_examples=50)
+    @settings(deadline=None, max_examples=examples(50))
     @given(c=st.floats(1e-6, 1e6))
     def test_projective(self, c):
         x = np.array([0.3, 1.4, 0.8])
