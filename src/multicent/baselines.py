@@ -4,25 +4,22 @@ Every measure here reduces node scoring to the Perron vector of some
 non-negative matrix assembled from the layers: per-layer adjacency
 matrices, the aggregate, influence-weighted layer mixtures, the
 influence-weighted block matrix, or the supra-adjacency matrix. The last two
-are applied as operators. The block matrix is built, only to check it, when
-W has a zero or a product rounds to 0 or inf; when all rows of W are equal
-it is not iterated on at all, because one layer mixture gives every column.
-They share one plain power-method routine (uniform start, 1-norm
-normalization, no shifts or deflation) and a common failure mode: on
+are applied as operators that multiply the layers one at a time, with no
+copy of them. They share one plain power-method routine (uniform start,
+1-norm normalization, no shifts or deflation) and a common failure mode: on
 reducible matrices the dominant eigenvector need not be unique, so the score
-may depend on the start.
-That situation is detected and reported as ``degenerate_warning`` instead
+may depend on the start. That is reported as ``degenerate_warning`` instead
 of raising, because these measures are routinely computed on disconnected
 data anyway; consumers decide how much to trust a flagged score.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec  # B @ x into a given buffer: no public form
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator
 
@@ -32,7 +29,9 @@ from .network import (
     MultiplexNetwork,
     _check_influence_side,
     _check_omega,
+    _check_strengths,
     _nonnegative_csr,
+    _products_into,
     _weighted_layer_sum,
     aggregate_connected,
     aggregate_matrix,
@@ -87,19 +86,6 @@ class ScoreResult:
     degenerate_warning: bool
 
 
-def _product_into(B, out: np.ndarray):
-    """x -> B @ x for a CSR ``B``, written into ``out`` and returned. A Perron
-    step then maps no fresh vector, whose pages would all fault in again at
-    every step once the vector outgrows the heap."""
-    data, flat = B.data.astype(out.dtype, copy=False), out.reshape(-1)  # cast once
-
-    def product(x):
-        out.fill(0)  # csr_matvec adds B @ x to out
-        csr_matvec(*B.shape, B.indptr, B.indices, data, x, flat)
-        return out
-    return product
-
-
 def _checked_matrix(M, what: str = "matrix") -> tuple[sp.csr_array, bool]:
     """``M`` validated as a canonical CSR without stored zeros, and whether its
     graph is not strongly connected (its Perron vector may then not be unique)."""
@@ -112,15 +98,16 @@ def _checked_matrix(M, what: str = "matrix") -> tuple[sp.csr_array, bool]:
     return M, bool(ncomp > 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows raises instead
 def matrix_perron(M, tol: float = PERRON_TOL,
                   max_iter: int = PERRON_MAX_ITER) -> PerronResult:
     """Power iteration for the Perron pair of a non-negative square matrix.
 
-    Starts from the uniform positive vector, renormalizes in the 1-norm
-    each step, and stops once the eigen-residual ||Mv - value*v||_inf falls
-    below ``tol * value``. The value estimate is the Rayleigh quotient.
-    A residual that has not dropped by 1% over the last ``PLATEAU_WINDOW``
-    steps is a plateau, and flags the result degenerate.
+    Starts from the uniform positive vector, renormalizes in the 1-norm each step, and
+    stops once the eigen-residual ||Mv - value*v||_inf falls below ``tol * value``, the
+    value being the Rayleigh quotient. A residual that has not dropped by 1% over the last
+    ``PLATEAU_WINDOW`` steps is a plateau, and flags the result degenerate. A step whose
+    sum or value overflows the float range raises ``ValidationError``.
 
     A ``LinearOperator`` is applied unchecked; its flag then reports only the
     plateau and nilpotent cases, and the caller adds the structural one.
@@ -130,7 +117,12 @@ def matrix_perron(M, tol: float = PERRON_TOL,
         product = M.matvec
     else:
         M, degenerate = _checked_matrix(M)
-        product = _product_into(M, np.empty(M.shape[0], np.result_type(M.dtype, float)))
+        M = M.astype(np.result_type(M.dtype, float), copy=False)  # integer data cast once
+        Ms, ws = (M,), (np.empty(M.shape[0], M.dtype),)  # each step overwrites ws[0]
+
+        def product(x):
+            ws[0].fill(0)  # the product adds to it, so a step maps no fresh n-vector
+            return _products_into(Ms, (x,), ws)[0]
 
     n = M.shape[0]
     v, r = np.full(n, 1.0 / n), np.empty(n)  # each step overwrites both
@@ -141,23 +133,23 @@ def matrix_perron(M, tol: float = PERRON_TOL,
     for k in range(1, max_iter + 1):
         iterations = k
         w = product(v)
-        total = w.sum()
+        total = np.add.reduce(w)  # w.sum() and r.max() without their Python wrappers
         if total == 0:
             # v is an exact eigenvector for eigenvalue 0 (nilpotent direction)
             value = 0.0
             converged = True
             degenerate = True
             break
-        value = float(v @ w / (v @ v))
+        value = float(v @ w) / float(v @ v)
+        if not (math.isfinite(total) and math.isfinite(value)):
+            raise ValidationError("the power iteration overflows the float range")
         np.subtract(w, np.multiply(v, value, out=r), out=r)  # w - value * v
-        res = float(np.abs(r, out=r).max())
+        res = float(np.maximum.reduce(np.abs(r, out=r)))
         residuals.append(res)
         if res <= tol * value:
             converged = True
             break
-        if (len(residuals) > PLATEAU_WINDOW
-                and res > tol * value
-                and res > 0.99 * residuals[-PLATEAU_WINDOW - 1]):
+        if len(residuals) > PLATEAU_WINDOW and res > 0.99 * residuals[-PLATEAU_WINDOW - 1]:
             degenerate = True
         v = np.divide(w, total, out=v)
     return PerronResult(value=value, vector=v, converged=converged,
@@ -183,10 +175,14 @@ def _perron_columns(net, matrices, which, measure_name, tol, max_iter) -> Centra
 
 
 def _layer_products(net: MultiplexNetwork):
-    """The block-diagonal product x -> [A_k x_k]_k, as an (L, n) array that
-    each call overwrites. The block operators below also return buffers of
-    their own, so a Perron step maps no fresh nL-vector."""
-    return _product_into(sp.block_diag(net.layers, format="csr"), np.empty((net.L, net.n)))
+    """x -> [A_k x_k]_k, the layers multiplied one at a time into an (L, n) array that each
+    call overwrites; with the operators' own kept outputs, a Perron step maps no fresh vector."""
+    out = np.empty((net.L, net.n))
+
+    def products(x):
+        out.fill(0)  # the products add to out
+        return _products_into(net.layers, x.reshape(out.shape), out)
+    return products
 
 
 def _supra_operator(net: MultiplexNetwork) -> LinearOperator:
@@ -310,6 +306,7 @@ def versatility_centrality(net: MultiplexNetwork, omega=None,
     w = _check_omega(omega, net.L)
     if net.L == 1 and net.layers[0].nnz == 0:
         raise ValidationError("matrix is identically zero")
+    _check_strengths(net)
     pr = matrix_perron(_supra_operator(net), tol=tol, max_iter=max_iter)
     F = pr.vector.reshape(net.L, net.n).T
     reducible = not aggregate_connected(net)
@@ -318,7 +315,8 @@ def versatility_centrality(net: MultiplexNetwork, omega=None,
 
 
 def aggregate_degree_centrality(net: MultiplexNetwork) -> ScoreResult:
-    """Total incident weight across layers, normalized to sum 1. Always well defined."""
+    """Total incident weight across layers, normalized to sum 1."""
+    _check_strengths(net)
     return ScoreResult(measure_name="agg_deg",
                        scores=_normalized(net.node_strengths),
                        degenerate_warning=False)

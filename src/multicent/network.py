@@ -2,10 +2,10 @@
 
 A multiplex is a collection of L undirected graphs (the layers) sharing one
 set of n nodes, with every node implicitly identified with its copies on the
-other layers. Layers are stored as sparse symmetric non-negative matrices;
-the aggregate, supra-adjacency and influence block matrices are built from
-them here. The baselines apply the block matrices as operators, and build the
-influence one only to check it, when W has a zero or a product rounds to 0 or inf.
+other layers. Layers are stored as sparse symmetric non-negative matrices, the
+one copy of the weights: products with all layers take them one at a time
+(:func:`_products_into`). The aggregate and block matrices are built from them
+here; the baselines apply the block matrices as operators instead.
 
 External interfaces (edge records, permutations) use 1-based node and layer
 indices, matching the common edge-list file convention. Everything stored on
@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec  # A @ x into a given buffer: no public form
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError, ValidationError
@@ -57,6 +58,15 @@ def _as_layer_matrix(mat, n: int, which: int) -> sp.csr_array:
     return A
 
 
+def _products_into(matrices, xs, out):
+    """Adds ``matrices[l] @ xs[l]`` to row l of ``out`` and returns ``out``, each row
+    summed in the stored order that ``@`` sums it in. Integer data is cast to the
+    float of ``out`` at every call, in a temporary the size of that matrix's data."""
+    for A, x, y in zip(matrices, xs, out):
+        csr_matvec(*A.shape, A.indptr, A.indices, A.data, x, y)
+    return out
+
+
 def _check_counts(n, L) -> None:
     for what, count in (("node", n), ("layer", L)):
         if not isinstance(count, (int, np.integer)) or count < 1:
@@ -67,10 +77,10 @@ def _check_counts(n, L) -> None:
 class MultiplexNetwork:
     """An undirected weighted multiplex on n shared nodes and L layers.
 
-    ``layers[l]`` is the n-by-n sparse symmetric adjacency matrix of layer
-    l (0-based). Weights are finite and strictly positive; structural zeros
-    are never stored. Optional label lists must have lengths n and L. A
-    canonical CSR layer passed in is stored as given, sharing its arrays.
+    ``layers[l]`` is the n-by-n sparse symmetric adjacency matrix of layer l (0-based),
+    and no stacked copy of the layers is kept. Weights are finite and strictly positive;
+    structural zeros are never stored. Optional label lists must have lengths n and L.
+    A canonical CSR layer passed in is stored as given, sharing its arrays.
     """
 
     n: int
@@ -90,18 +100,10 @@ class MultiplexNetwork:
             raise DimensionError("layer_labels length does not match layer count")
 
     @cached_property
-    def layers_stacked(self) -> sp.csr_array:
-        """All layers stacked vertically into one (L*n)-by-n CSR matrix.
-
-        One multiplication ``layers_stacked @ x`` yields every per-layer
-        product A_l x at once, which is what the iterative solvers need.
-        """
-        return sp.vstack(self.layers, format="csr")
-
-    @cached_property
     def node_strengths(self) -> np.ndarray:
-        """Total incident weight of each node summed over all layers."""
-        return sum(A.sum(axis=1) for A in self.layers)
+        """Total incident weight of each node summed over all layers (inf on overflow)."""
+        with np.errstate(over="ignore"):
+            return sum(A.sum(axis=1) for A in self.layers)
 
     @cached_property
     def layer_strengths(self) -> np.ndarray:
@@ -260,13 +262,22 @@ def _check_omega(omega, L: int) -> np.ndarray:
     return w
 
 
+def _check_strengths(net: MultiplexNetwork) -> None:
+    """Rejects weights whose node strengths, and so their total, sum past the float range."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(net.total_weight):
+            raise ValidationError("node strengths overflow the float range")
+
+
 def _weighted_layer_sum(net: MultiplexNetwork, w) -> sp.csr_array:
-    """sum_l w_l A_l over the layers whose weight is nonzero."""
-    out = sp.csr_array((net.n, net.n))
-    with np.errstate(over="ignore"):  # the caller's validator reports an inf
-        for wl, A in zip(w, net.layers):
-            if wl != 0:
-                out = out + wl * A
+    """sum_l w_l A_l over the layers whose weight is nonzero; an entry that
+    overflows is rejected with the layers it sums."""
+    used = np.flatnonzero(w)
+    with np.errstate(over="ignore"):
+        out = sum((w[l] * net.layers[l] for l in used), sp.csr_array((net.n, net.n)))
+        if not np.all(np.isfinite(out.data)):
+            raise ValidationError(f"the weighted sum of layer{'s' * (len(used) > 1)} "
+                                  f"{', '.join(map(str, used + 1))} overflows the float range")
     return sp.csr_array(out)
 
 
@@ -282,12 +293,8 @@ def supra_adjacency(net: MultiplexNetwork) -> sp.csr_array:
     layers is coupled by I_n, encoding the identification of node copies.
     For L = 1 this is just the single layer matrix.
     """
-    diag = sp.block_diag(net.layers, format="csr")
-    if net.L == 1:
-        return sp.csr_array(diag)
-    coupling = sp.kron(np.ones((net.L, net.L)) - np.eye(net.L),
-                       sp.eye_array(net.n), format="csr")
-    return sp.csr_array(diag + coupling)
+    coupling = sp.kron(np.ones((net.L, net.L)) - np.eye(net.L), sp.eye_array(net.n), format="csr")
+    return sp.csr_array(sp.block_diag(net.layers, format="csr") + coupling)
 
 
 def khatri_rao_influence(net: MultiplexNetwork, W: InfluenceMatrix) -> sp.csr_array:
@@ -308,8 +315,9 @@ def khatri_rao_influence(net: MultiplexNetwork, W: InfluenceMatrix) -> sp.csr_ar
 
 
 def aggregate_connected(net: MultiplexNetwork) -> bool:
-    """Whether the aggregate graph, with an edge wherever a layer has one, is connected."""
-    return bool(connected_components(aggregate_matrix(net, None), directed=False)[0] == 1)
+    """Whether the aggregate graph, with an edge wherever a layer has one, is connected
+    (found from the layers' patterns, so that no sum of weights can overflow)."""
+    return bool(connected_components(sum(A.astype(bool) for A in net.layers))[0] == 1)
 
 
 def connectivity(net: MultiplexNetwork) -> ConnectivityDiagnostics:

@@ -41,7 +41,7 @@ from .errors import (
     SupportMismatchError,
     ValidationError,
 )
-from .network import MultiplexNetwork
+from .network import MultiplexNetwork, _check_strengths, _products_into
 
 _NORM_ORDS = {"euclidean": 2, "one": 1, "max": np.inf}
 
@@ -181,13 +181,11 @@ def _weighted_sums(net: MultiplexNetwork, x: np.ndarray, t: np.ndarray):
     """The two blocks of weighted sums feeding the update map.
 
     Returns (s1, s2) with s1_i = sum_{j,l} A[i,j,l] x_j t_l and
-    s2_l = sum_{i,j} A[i,j,l] x_i x_j. A single stacked multiplication
-    produces all per-layer products A_l x.
+    s2_l = sum_{i,j} A[i,j,l] x_i x_j, from the Y with row l = A_l x: a fresh
+    zeroed (L, n) array that the layers are multiplied into one at a time.
     """
-    Y = (net.layers_stacked @ x).reshape(net.L, net.n)
-    s1 = Y.T @ t
-    s2 = Y @ x
-    return s1, s2
+    Y = _products_into(net.layers, [x] * net.L, np.zeros((net.L, net.n)))
+    return Y.T @ t, Y @ x
 
 
 def raw_update(net: MultiplexNetwork, x, t, alpha: float, beta: float):
@@ -226,6 +224,7 @@ def node_layer_centrality(net: MultiplexNetwork, params: SolverParams,
     ``node_eigenvalue = ||raw node update||_1`` and
     ``layer_eigenvalue = ||raw layer update||_1`` at the returned pair.
     """
+    _check_strengths(net)
     if net.total_weight == 0:
         raise ValidationError("network has no edges; scores are undefined")
     ordv = _NORM_ORDS[params.stopping_norm]
@@ -243,24 +242,18 @@ def node_layer_centrality(net: MultiplexNetwork, params: SolverParams,
     cdata = contraction_factor(params.alpha, params.beta)
     node_res: list[float] = []
     layer_res: list[float] = []
-    node_at = layer_at = None
-    converged = False
-    iterations = 0
-    for k in range(1, params.max_iter + 1):
+    for _ in range(params.max_iter):
         nxt = normalized_update(net, x, t, params.alpha, params.beta)
         rx = float(np.linalg.norm(nxt.x - x, ordv) / np.linalg.norm(nxt.x, ordv))
         rt = float(np.linalg.norm(nxt.t - t, ordv) / np.linalg.norm(nxt.t, ordv))
         node_res.append(rx)
         layer_res.append(rt)
-        if node_at is None and rx < params.tol:
-            node_at = k
-        if layer_at is None and rt < params.tol:
-            layer_at = k
         x, t = nxt.x, nxt.t
-        iterations = k
         if max(rx, rt) < params.tol:
-            converged = True
             break
+    converged = max(node_res[-1], layer_res[-1]) < params.tol  # max_iter >= 1
+    node_at, layer_at = (next((k for k, r in enumerate(res, 1) if r < params.tol), None)
+                         for res in (node_res, layer_res))  # each block's first k below tol
 
     fx, ft = raw_update(net, x, t, params.alpha, params.beta)
     bound_k = bound_C = None
@@ -268,7 +261,7 @@ def node_layer_centrality(net: MultiplexNetwork, params: SolverParams,
         bound = iteration_bound(net, params.alpha, params.beta, params.tol)
         bound_k, bound_C = bound.k, bound.C
     report = ConvergenceReport(
-        iterations=iterations,
+        iterations=len(node_res),
         converged=converged,
         node_residuals=node_res,
         layer_residuals=layer_res,
@@ -313,6 +306,7 @@ def iteration_bound(net: MultiplexNetwork, alpha: float, beta: float,
         raise ParameterDomainError(
             f"contraction factor is >= 1 for alpha={alpha}, beta={beta}; "
             "no iteration bound exists")
+    _check_strengths(net)
     if net.total_weight == 0:
         raise ValidationError("network has no edges")
     r = net.node_strengths

@@ -2,8 +2,10 @@
 
 Everything here works with explicit loops, dense tensors or einsum and
 never touches the package's code paths, so agreement between the two
-routes is meaningful. The exceptions are at the end: the power method as it
-ran with a fresh ``M @ v`` per step, a reference for the buffered one, and the
+routes is meaningful. The exceptions are at the end: the per-layer products
+as one product with a stacked or block-diagonal copy of the layers, a
+reference for the products taken layer by layer; the power method as it ran
+with a fresh ``M @ v`` per step, a reference for the buffered one; and the
 matrix baselines, which run the package's power method on the built
 supra-adjacency and influence block matrices, as a reference for the
 operators that replace them.
@@ -163,6 +165,32 @@ def load_edges_loop(text, n=None, L=None, symmetrize="mirror"):
     layers = [sp.coo_array((vals[l], (rows[l], cols[l])), shape=(n, n)).tocsr()
               for l in range(L)]
     return layers, messages
+
+
+def weighted_sums_stacked(net, x, t):
+    """The solver's ``(s1, s2)`` from one product with every layer stacked
+    into one (L*n)-by-n CSR: each A_l x is a block of its rows."""
+    Y = (sp.vstack(net.layers, format="csr") @ x).reshape(net.L, net.n)
+    return Y.T @ t, Y @ x
+
+
+def block_diagonal_products(net, x):
+    """[A_k x_k]_k as an (L, n) array, from one product with the block-diagonal
+    matrix of the layers."""
+    return (sp.block_diag(net.layers, format="csr") @ x).reshape(net.L, net.n)
+
+
+def supra_product(net, x):
+    """``supra_adjacency(net) @ x`` as y_l = A_l x_l + sum_k x_k - x_l, its
+    products taken from the block-diagonal matrix."""
+    X = x.reshape(net.L, net.n)
+    return (block_diagonal_products(net, x) + (X.sum(axis=0) - X)).ravel()
+
+
+def influence_product(net, W, x):
+    """``khatri_rao_influence(net, W) @ x`` as W @ [A_k x_k]_k, its products
+    taken from the block-diagonal matrix."""
+    return (W.W @ block_diagonal_products(net, x)).ravel()
 
 
 def perron_reference(M, tol: float = PERRON_TOL,

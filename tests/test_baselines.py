@@ -698,6 +698,15 @@ class TestBlockOperators:
          ValidationError, "influence block matrix is identically zero"),
         (lambda net: matrix_perron(np.array([[0.0, np.inf], [np.inf, 0.0]])),
          ValidationError, "matrix has non-finite entries"),
+        # the first step's sum, 2e308, overflows
+        (lambda net: matrix_perron(np.full((2, 2), 1e308)),
+         ValidationError, "the power iteration overflows the float range"),
+        # each product W[l, k] * a is finite, but the sums of a step are not
+        (lambda net: global_heterogeneous_centrality(
+            build_network(4, 2, [(1, 2, 1, 1e308), (1, 2, 3, 1e308), (1, 2, 4, 1e308),
+                                 (2, 1, 3, 1.0)]),
+            InfluenceMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))),
+         ValidationError, "the power iteration overflows the float range"),
         (lambda net: versatility_centrality(build_network(3, 1, [])),
          ValidationError, "matrix is identically zero"),
         (lambda net: global_heterogeneous_centrality(net, InfluenceMatrix.uniform(2)),

@@ -296,7 +296,8 @@ class TestInfo:
 # -- exit-code contract: every input ends in 0, 2 or 3, never in a traceback
 
 _edge = st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
-                  st.sampled_from(["", " 1", " 2.5", " 0.5", " 1e-320", " 1e200", " 1e-200"]))
+                  st.sampled_from(["", " 1", " 2.5", " 0.5", " 1e-320", " 1e200", " 1e-200",
+                                   " 1e308"]))
 _list_tokens = st.lists(st.sampled_from(["2.1", "3", "1", "x", "", "-1", "inf"]),
                         min_size=1, max_size=3).map(",".join)
 _measure_names = st.sampled_from(["nonlinear", "eig_ver", "eig_cen", "agg_eig", "agg_deg",
@@ -418,8 +419,10 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--measure", "agg_eig", "--omega", "1e300"], "matrix has non-finite entries"),
-        (["--measure", "local_het", "--influence", "W"], "matrix has non-finite entries"),
+        (["--measure", "agg_eig", "--omega", "1e300"],
+         "the weighted sum of layer 1 overflows the float range"),
+        (["--measure", "local_het", "--influence", "W"],
+         "the weighted sum of layer 1 overflows the float range"),
         (["--measure", "global_het", "--influence", "W"],
          "influence block matrix has non-finite entries"),
     ], ids=["agg_eig", "local_het", "global_het"])
@@ -432,6 +435,33 @@ class TestExitCodes:
                              text=True)
         assert res.returncode == 2
         assert res.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["bound"], ["centrality"], ["compare"],
+                                      ["baseline", "--measure", "agg_deg"],
+                                      ["baseline", "--measure", "eig_ver"]],
+                             ids=["bound", "centrality", "compare", "agg_deg", "eig_ver"])
+    def test_overflowing_node_strengths_exit_2_with_one_line(self, runner, tmp_path, argv):
+        # node 2 has strength 3e308, while every entry and every layer mixture is finite
+        edges = tmp_path / "strong.edges"
+        edges.write_text("1 1 2 1e308\n2 1 2 1e308\n1 2 3 1e308\n", encoding="utf-8")
+        out = tmp_path / "o"
+        output = [] if argv == ["bound"] else ["-o", str(out)]
+        res = runner.invoke(main, [argv[0], str(edges), *argv[1:], *output])
+        assert res.exit_code == 2
+        assert res.stderr == "error: node strengths overflow the float range\n"
+        assert not out.exists()
+        assert runner.invoke(main, ["info", str(edges)]).exit_code == 0
+
+    @pytest.mark.parametrize("argv", [["--measure", "agg_eig"],
+                                      ["--measure", "local_het", "--influence", "ones"],
+                                      ["--measure", "global_het", "--influence", "ones"]],
+                             ids=["agg_eig", "local_het", "global_het"])
+    def test_overflowing_layer_sum_names_its_layers(self, runner, tmp_path, argv):
+        edges = tmp_path / "sum.edges"
+        edges.write_text("1 1 2 1e308\n2 1 2 1e308\n1 2 3 1\n2 1 3 1\n", encoding="utf-8")
+        res = runner.invoke(main, ["baseline", str(edges), *argv, "-o", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.stderr == "error: the weighted sum of layers 1, 2 overflows the float range\n"
 
     @pytest.mark.parametrize("edges", ["1 1 2 1e-320\n1 2 3 1\n", "1 1 2 1e200\n1 2 3 1e-200\n"],
                              ids=["subnormal", "1e400-apart"])

@@ -16,11 +16,12 @@ from multicent import (
     permute,
     supra_adjacency,
 )
-from multicent.baselines import _checked_matrix
+from multicent.baselines import _checked_matrix, _influence_operator, _supra_operator
 from multicent.network import group_pairs
+from multicent.solver import _weighted_sums
 
 from conftest import examples, random_sparse_multiplex
-from oracles import perron_dense
+from oracles import influence_product, perron_dense, supra_product, weighted_sums_stacked
 
 # The two routes to the one non-negative CSR validator, each with the name that
 # its messages give the matrix: a stored layer, and the input of a Perron run.
@@ -447,3 +448,44 @@ class TestPermute:
         s = np.asarray(sigma) - 1
         mapped = tuple(sorted(i for i in range(8) if s[i] in d_in.isolated_nodes))
         assert d_out.isolated_nodes == mapped
+
+
+@st.composite
+def _typed_multiplex(draw):
+    """A small multiplex stored as given: integer or float weights, int32 or
+    int64 index arrays, often with empty layers and isolated nodes."""
+    n, L = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    integer = draw(st.booleans())
+    weight = st.sampled_from((1, 2, 7) if integer else (0.3, 1.0, 2.5, 1e-3))
+    index = draw(st.sampled_from((np.int32, np.int64)))
+    layers = []
+    for _ in range(L):
+        D = np.zeros((n, n), dtype=np.int64 if integer else float)
+        for i, j, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                               weight), max_size=n)):
+            D[i, j] = D[j, i] = w
+        A = sp.csr_array(D)
+        layers.append(sp.csr_array((A.data, A.indices.astype(index), A.indptr.astype(index)),
+                                   shape=(n, n)))
+    net = MultiplexNetwork(n=n, L=L, layers=layers)
+    assert all(A.indices.dtype == index and A.dtype == D.dtype for A in net.layers)
+    return net
+
+
+class TestLayerProducts:
+    """The products layer by layer against one product with a stacked or
+    block-diagonal copy of the layers, as the solver and the block operators
+    took them before."""
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(net=_typed_multiplex(), seed=st.integers(0, 2**16))
+    def test_match_the_copies_bit_for_bit(self, net, seed):
+        rng = np.random.default_rng(seed)
+        x, t = rng.random(net.n) * (rng.random(net.n) < 0.8), rng.random(net.L)
+        for got, want in zip(_weighted_sums(net, x, t), weighted_sums_stacked(net, x, t)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        W = InfluenceMatrix(rng.random((net.L, net.L)) * (rng.random((net.L, net.L)) < 0.7))
+        supra, influence = _supra_operator(net), _influence_operator(net, W)
+        for X in rng.random((2, net.L * net.n)):  # the second call overwrites the buffers
+            assert np.array_equal(supra @ X, supra_product(net, X))
+            assert np.array_equal(influence @ X, influence_product(net, W, X))

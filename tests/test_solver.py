@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,24 @@ class TestUpdateMap:
         g1, g2 = raw_update(net, c * x, c2 * t, alpha, beta)
         np.testing.assert_allclose(g1, c ** (1 / alpha) * c2 ** (1 / alpha) * f1, rtol=1e-12)
         np.testing.assert_allclose(g2, c ** (2 / beta) * f2, rtol=1e-12)
+
+    def test_update_keeps_no_stacked_copy_of_the_layers(self):
+        # the (L*n)-by-n stack of the layers, which the update once built and
+        # kept, holds an L*n index pointer of its own beside the layers' entries
+        n, L = 2000, 100
+        rng = np.random.default_rng(29)
+        edges = [(l, int(a), int(b), 1.0) for l in range(1, L + 1)
+                 for a, b in zip(rng.integers(1, n + 1, n), rng.integers(1, n + 1, n))]
+        net = build_network(n, L, edges)
+        stacked = (L * n + 1) * 4 + sum(A.nnz for A in net.layers) * 12
+        x, t = np.full(n, 1.0 / n), np.full(L, 1.0 / L)
+        tracemalloc.start()
+        try:
+            normalized_update(net, x, t, 2.1, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < L * n * 8 + stacked
 
     def test_non_finite_input_rejected(self, explanatory):
         with pytest.raises(ValidationError):
